@@ -6,10 +6,15 @@
 // kernel — the speedup claim is only meaningful because the answers are
 // the same bytes.
 //
+// A second sweep times PairDistances, the lane-parallel kernel behind
+// the simulator's warp distance instruction, over warp-sized pair
+// counts, again checked bit-identical to the scalar tier.
+//
 // Emits BENCH_distance_kernels.json (with the host/build env block) for
-// the CI artifact. Exits non-zero if any tier diverges from scalar or
-// the dims >= 16 geomean speedup of the best tier falls below 4x while
-// AVX2 is available — the acceptance bar of the SIMD kernel work.
+// the CI artifact. Exits non-zero if any tier of either kernel diverges
+// from scalar or the dims >= 16 geomean speedup of the best tier falls
+// below 4x while AVX2 is available — the acceptance bar of the SIMD
+// kernel work.
 
 #include <cmath>
 #include <cstdio>
@@ -31,6 +36,10 @@ constexpr size_t kDimsSweep[] = {2, 8, 16, 64, 128};
 constexpr size_t kTotalFloats = size_t{1} << 20;
 constexpr size_t kQueries = 8;
 constexpr double kMinSeconds = 0.05;
+// PairDistances sweep: the dims of the paper datasets the simulator
+// spends its distance time on, at the active-lane counts of a warp.
+constexpr size_t kPairDims[] = {4, 42, 1024, 10000};
+constexpr size_t kPairLanes[] = {1, 2, 3, 4, 8, 9, 15, 32};
 
 struct Row {
   size_t dims = 0;
@@ -57,6 +66,88 @@ double TimeSweep(const HostMatrix& queries, const simd::PackedTargets& packed,
     elapsed = wall.ElapsedSeconds();
   } while (elapsed < kMinSeconds);
   return elapsed / reps;
+}
+
+struct PairRow {
+  size_t dims = 0;
+  size_t lanes = 0;
+  simd::Level level = simd::Level::kScalar;
+  double ns_per_lane_dim = 0.0;
+  double speedup = 1.0;  // vs pinned scalar on the same config
+  bool identical = true;
+};
+
+/// Seconds per PairDistances call, timed over enough calls to fill
+/// kMinSeconds.
+double TimePairs(const std::vector<const float*>& a,
+                 const std::vector<const float*>& b, size_t dims,
+                 std::vector<float>* out) {
+  int reps = 0;
+  const Stopwatch wall;
+  double elapsed = 0.0;
+  do {
+    simd::PairDistances(a.data(), b.data(), a.size(), dims,
+                        simd::Dist::kEuclidean, out->data());
+    ++reps;
+    elapsed = wall.ElapsedSeconds();
+  } while (elapsed < kMinSeconds);
+  return elapsed / reps;
+}
+
+/// The PairDistances sweep; returns false if any tier diverged.
+bool RunPairSweep(std::vector<PairRow>* rows) {
+  std::printf("\nPairDistances (warp distance instruction):\n");
+  PrintTableHeader({"dims", "lanes", "tier", "ns/lane-dim", "speedup",
+                    "identical"});
+  bool all_identical = true;
+  for (const size_t dims : kPairDims) {
+    // Three query rows shared by the lanes, 32 distinct target rows.
+    Rng rng(1809 + dims);
+    std::vector<float> queries(3 * dims);
+    std::vector<float> targets(32 * dims);
+    for (float& x : queries) x = rng.NextFloat();
+    for (float& x : targets) x = rng.NextFloat();
+    for (const size_t lanes : kPairLanes) {
+      std::vector<const float*> a(lanes);
+      std::vector<const float*> b(lanes);
+      for (size_t i = 0; i < lanes; ++i) {
+        a[i] = queries.data() + (i / 11) * dims;
+        b[i] = targets.data() + ((i * 7) % 32) * dims;
+      }
+      simd::ForceLevelForTest(static_cast<int>(simd::Level::kScalar));
+      std::vector<float> scalar_out(lanes);
+      const double scalar_s = TimePairs(a, b, dims, &scalar_out);
+      for (const simd::Level level :
+           {simd::Level::kScalar, simd::Level::kAvx2, simd::Level::kAvx512}) {
+        if (!simd::CompiledIn(level) || !simd::CpuSupports(level)) continue;
+        simd::ForceLevelForTest(static_cast<int>(level));
+        std::vector<float> out(lanes);
+        const double seconds = level == simd::Level::kScalar
+                                   ? scalar_s
+                                   : TimePairs(a, b, dims, &out);
+        PairRow row;
+        row.dims = dims;
+        row.lanes = lanes;
+        row.level = level;
+        row.ns_per_lane_dim =
+            seconds * 1e9 / static_cast<double>(lanes * dims);
+        row.speedup = scalar_s / seconds;
+        if (level != simd::Level::kScalar) {
+          row.identical = std::memcmp(out.data(), scalar_out.data(),
+                                      lanes * sizeof(float)) == 0;
+          all_identical = all_identical && row.identical;
+        }
+        rows->push_back(row);
+        PrintTableRow({std::to_string(dims), std::to_string(lanes),
+                       simd::LevelName(level),
+                       FormatDouble(row.ns_per_lane_dim, 3),
+                       FormatDouble(row.speedup, 2) + "x",
+                       row.identical ? "yes" : "NO"});
+      }
+    }
+  }
+  simd::ForceLevelForTest(-1);
+  return all_identical;
 }
 
 int Main(int argc, char** argv) {
@@ -132,12 +223,16 @@ int Main(int argc, char** argv) {
     }
   }
   simd::ForceLevelForTest(-1);
+  std::vector<PairRow> pair_rows;
+  const bool pairs_identical = RunPairSweep(&pair_rows);
+  all_identical = all_identical && pairs_identical;
 
   const double geomean =
       geomean_count == 0 ? 1.0
                          : std::exp(geomean_log_sum /
                                     static_cast<double>(geomean_count));
-  std::printf("\ngeomean speedup (best tier, dims >= 16): %.2fx; "
+  std::printf("\ngeomean QueryDistances speedup (best tier, dims >= 16): "
+              "%.2fx; "
               "bit-identical across tiers: %s\n",
               geomean, all_identical ? "yes" : "NO");
 
@@ -156,6 +251,18 @@ int Main(int argc, char** argv) {
                    row.dims, row.n, simd::LevelName(row.level), row.gbps,
                    row.speedup, row.identical ? "true" : "false",
                    i + 1 < rows.size() ? "," : "");
+    }
+    std::fprintf(json, "  ],\n  \"pair_runs\": [\n");
+    for (size_t i = 0; i < pair_rows.size(); ++i) {
+      const PairRow& row = pair_rows[i];
+      std::fprintf(json,
+                   "    {\"dims\": %zu, \"lanes\": %zu, \"tier\": \"%s\", "
+                   "\"ns_per_lane_dim\": %.4f, \"speedup\": %.3f, "
+                   "\"identical\": %s}%s\n",
+                   row.dims, row.lanes, simd::LevelName(row.level),
+                   row.ns_per_lane_dim, row.speedup,
+                   row.identical ? "true" : "false",
+                   i + 1 < pair_rows.size() ? "," : "");
     }
     std::fprintf(json,
                  "  ],\n  \"geomean_speedup_dims_ge16\": %.3f,\n"

@@ -386,7 +386,7 @@ MemberLists BuildMemberLists(Device* dev,
   // the scatter pass — a block-execution-order-dependent result the
   // parallel engine cannot reproduce bit-exactly. O(n) and cheap: keep it
   // on the serial engine.
-  count_meta.host_serial = true;
+  count_meta.ordered_span_blocks = KernelMeta::kWholeGrid;
   dev->Launch(count_meta,
               LaunchConfig::Cover(static_cast<int64_t>(n), block_threads),
               [&](Warp& w) {

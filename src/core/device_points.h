@@ -2,6 +2,7 @@
 #define SWEETKNN_CORE_DEVICE_POINTS_H_
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <utility>
@@ -57,6 +58,43 @@ inline float AccessorDistance(const PointAccessor& a, const PointAccessor& b,
     acc += std::fabs(a[j] - b[j]);
   }
   return acc;
+}
+
+/// The SIMT distance instruction of the TI kernels: dist[lane] =
+/// AccessorDistance(a[lane], b[lane], dims, metric) for every active
+/// lane, charged as one Op of DistanceOpCost(dims). Row-major views (the
+/// float4-loaded layout every Sweet KNN configuration uses) run all lanes
+/// at once through simd::PairDistances; strided column-major views keep
+/// the per-lane scalar loop. Both are bit-identical to AccessorDistance.
+inline void WarpDistances(gpusim::Warp& w,
+                          const gpusim::Reg<PointAccessor>& a,
+                          const gpusim::Reg<PointAccessor>& b, size_t dims,
+                          Metric metric, gpusim::Reg<float>* dist) {
+  std::array<const float*, gpusim::kWarpSize> rows_a;
+  std::array<const float*, gpusim::kWarpSize> rows_b;
+  std::array<int, gpusim::kWarpSize> lanes;
+  size_t n = 0;
+  bool unit_stride = true;
+  w.Op(
+      [&](int lane) {
+        rows_a[n] = a[lane].base;
+        rows_b[n] = b[lane].base;
+        lanes[n++] = lane;
+        unit_stride = unit_stride && a[lane].stride == 1 &&
+                      b[lane].stride == 1;
+      },
+      DistanceOpCost(dims));
+  if (!unit_stride) {
+    for (size_t i = 0; i < n; ++i) {
+      (*dist)[lanes[i]] = AccessorDistance(a[lanes[i]], b[lanes[i]], dims,
+                                           metric);
+    }
+    return;
+  }
+  std::array<float, gpusim::kWarpSize> out;
+  simd::PairDistances(rows_a.data(), rows_b.data(), n, dims,
+                      SimdDistFor(metric), out.data());
+  for (size_t i = 0; i < n; ++i) (*dist)[lanes[i]] = out[i];
 }
 
 /// A point matrix resident in simulated device memory, stored in either

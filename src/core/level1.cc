@@ -138,12 +138,7 @@ Level1Result RunLevel1(Device* dev, const QueryClustering& qc,
                       tcenter[lane] = acc;
                     });
                 Reg<float> ccdist;
-                w.Op(
-                    [&](int lane) {
-                      ccdist[lane] = AccessorDistance(
-                          qcenter[lane], tcenter[lane], dims, metric);
-                    },
-                    DistanceOpCost(dims));
+                WarpDistances(w, qcenter, tcenter, dims, metric, &ccdist);
 
                 // 2-landmark upper bounds through the cluster's points
                 // closest to its center (stored last: member_dists is
@@ -302,12 +297,7 @@ Level1Result RunLevel1(Device* dev, const QueryClustering& qc,
             w, [&](int lane) { return ct[lane]; },
             [&](int lane, PointAccessor acc) { tcenter[lane] = acc; });
         Reg<float> ccdist;
-        w.Op(
-            [&](int lane) {
-              ccdist[lane] = AccessorDistance(qcenter[lane],
-                                              tcenter[lane], dims, metric);
-            },
-            DistanceOpCost(dims));
+        WarpDistances(w, qcenter, tcenter, dims, metric, &ccdist);
         Reg<float> qmax;
         Reg<float> tmax;
         Reg<float> ub;
@@ -368,7 +358,7 @@ Level1Result RunLevel1(Device* dev, const QueryClustering& qc,
     // execution order: keep this launch on the serial engine. It is O(mq *
     // mt) — negligible next to level 2 — and the per-cluster sort below
     // re-establishes a total order anyway.
-    meta.host_serial = true;
+    meta.ordered_span_blocks = KernelMeta::kWholeGrid;
     dev->Launch(meta, LaunchConfig::Cover(pairs, block_threads),
                 [&](Warp& w) {
       pair_kernel(w, [&](Warp& w2, Reg<int>& cq, Reg<int>& ct,

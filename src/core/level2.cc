@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -149,12 +150,13 @@ void RunFull(Device* dev, const DevicePoints& query,
   // sharded counter; the plain uint64 in Level2Stats would race.
   common::ShardedCounter distance_calcs;
   KernelMeta meta{"level2_full_filter", regs, shared};
-  // When tpq divides the block size, every cooperating thread group (and
-  // its shared theta slot) lives inside one block, so parallel block
-  // execution cannot reorder theta propagation. Otherwise a group
-  // straddles a block boundary and theta updates become cross-block and
-  // execution-order dependent — run those launches serially.
-  meta.host_serial = tpq > 1 && cfg.block_threads % tpq != 0;
+  // A cooperating thread group shares its theta slot, and the value a
+  // lane reads back depends on which group members ran before it. When
+  // tpq does not divide the block size, groups straddle block edges; the
+  // group/block pattern repeats every lcm(block_threads, tpq) threads, so
+  // spans of tpq / gcd(block_threads, tpq) blocks hold whole groups and
+  // run in serial order on one worker (1 when tpq divides the block).
+  meta.ordered_span_blocks = tpq / std::gcd(cfg.block_threads, tpq);
   dev->Launch(meta,
               LaunchConfig::Cover(static_cast<int64_t>(total_threads),
                                   cfg.block_threads),
@@ -226,13 +228,7 @@ void RunFull(Device* dev, const DevicePoints& query,
                 w, [&](int lane) { return tcid[lane]; },
                 [&](int lane, PointAccessor acc) { tcenter[lane] = acc; });
             Reg<float> q2tc;
-            w.Op(
-                [&](int lane) {
-                  q2tc[lane] =
-                      AccessorDistance(qpoint[lane], tcenter[lane],
-                                       dims, metric);
-                },
-                DistanceOpCost(dims));
+            WarpDistances(w, qpoint, tcenter, dims, metric, &q2tc);
             if (tpq > 1) {
               // Refresh the cooperative bound.
               Reg<float> ts;
@@ -300,13 +296,9 @@ void RunFull(Device* dev, const DevicePoints& query,
                           tpoint[lane] = acc;
                         });
                     Reg<float> dist;
-                    w.Op(
-                        [&](int lane) {
-                          dist[lane] = AccessorDistance(
-                              qpoint[lane], tpoint[lane], dims, metric);
-                          distance_calcs.Add(1);
-                        },
-                        DistanceOpCost(dims));
+                    WarpDistances(w, qpoint, tpoint, dims, metric, &dist);
+                    distance_calcs.Add(
+                        static_cast<uint64_t>(w.ActiveCount()));
                     const LaneMask inserted = knear.TryInsert(
                         w, dist, tix,
                         [&](int lane) { return w.GlobalThreadId(lane); });
@@ -550,13 +542,7 @@ void RunPartial(Device* dev, const DevicePoints& query,
                 w, [&](int lane) { return tcid[lane]; },
                 [&](int lane, PointAccessor acc) { tcenter[lane] = acc; });
             Reg<float> q2tc;
-            w.Op(
-                [&](int lane) {
-                  q2tc[lane] =
-                      AccessorDistance(qpoint[lane], tcenter[lane],
-                                       dims, metric);
-                },
-                DistanceOpCost(dims));
+            WarpDistances(w, qpoint, tcenter, dims, metric, &q2tc);
             Reg<uint32_t> mbegin;
             Reg<uint32_t> mend;
             w.Load(tc.member_offsets, [&](int lane) { return tcid[lane]; },
@@ -600,13 +586,9 @@ void RunPartial(Device* dev, const DevicePoints& query,
                           tpoint[lane] = acc;
                         });
                     Reg<float> dist;
-                    w.Op(
-                        [&](int lane) {
-                          dist[lane] = AccessorDistance(
-                              qpoint[lane], tpoint[lane], dims, metric);
-                          distance_calcs.Add(1);
-                        },
-                        DistanceOpCost(dims));
+                    WarpDistances(w, qpoint, tpoint, dims, metric, &dist);
+                    distance_calcs.Add(
+                        static_cast<uint64_t>(w.ActiveCount()));
                     Reg<uint32_t> pos;
                     w.AtomicAdd(
                         surv_count,

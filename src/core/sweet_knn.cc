@@ -403,7 +403,9 @@ void SweetKnnIndex::Compact() {
 
   // A fresh device, not a re-used one: the adaptive scheme reads free
   // device memory, so rebuilding on the old device (with the old base
-  // still allocated) could cluster differently than a cold build.
+  // still allocated) could cluster differently than a cold build. The
+  // old engine goes first: its device buffers free into the old device.
+  engine_.reset();
   device_ = std::make_unique<gpusim::Device>(config_.device);
   engine_ =
       std::make_unique<core::TiKnnEngine>(device_.get(), config_.options);

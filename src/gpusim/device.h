@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -48,14 +49,21 @@ struct KernelMeta {
   std::string name;
   int regs_per_thread = 32;
   int shared_bytes_per_block = 0;
-  /// Run this launch's grid serially on the calling thread even when the
-  /// device uses a parallel execution engine. Set it for kernels whose
-  /// cross-block atomic *old values* feed functional state (e.g. fetch-add
-  /// slot reservation followed by stores at the reserved offsets): their
-  /// results depend on block execution order, which concurrent blocks
-  /// cannot reproduce. Order-free atomics (pure add/min/max reductions)
-  /// do not need it.
-  bool host_serial = false;
+  /// Ordered block span: the parallel engine splits the grid only at
+  /// multiples of this many blocks, and one worker runs each span's
+  /// blocks in block order. Set it when threads of neighbouring blocks
+  /// share state whose *functional* result depends on execution order —
+  /// e.g. a cooperating thread group that straddles a block edge and
+  /// min-reduces into a slot it also reads back. Spans never share such
+  /// state, so every span replays exactly as the serial engine would.
+  ///
+  /// kWholeGrid pins the launch to the serial engine on the calling
+  /// thread: for kernels whose cross-block atomic *old values* feed
+  /// functional state (fetch-add slot reservation followed by stores at
+  /// the reserved offsets). Order-free atomics (pure add/min/max
+  /// reductions) need neither.
+  static constexpr int kWholeGrid = std::numeric_limits<int>::max();
+  int ordered_span_blocks = 1;
 };
 
 /// A simulated GPU: owns global memory, executes kernels warp by warp in
@@ -139,9 +147,10 @@ class Device {
   /// execution_threads() > 1 the grid's blocks run on concurrent host
   /// threads — `kernel` must then be safe to invoke concurrently (capture
   /// no mutable host state outside Warp; every Sweet KNN kernel qualifies
-  /// or is marked KernelMeta::host_serial). Returns the finalized launch
-  /// record; the reference stays valid until ResetProfile (launches live in
-  /// a std::deque, so later launches never invalidate it).
+  /// or declares KernelMeta::ordered_span_blocks). Returns the finalized
+  /// launch record; the reference stays valid until ResetProfile
+  /// (launches live in a std::deque, so later launches never invalidate
+  /// it).
   template <typename KernelFn>
   const LaunchRecord& Launch(const KernelMeta& meta, const LaunchConfig& cfg,
                              KernelFn&& kernel) {
@@ -156,15 +165,17 @@ class Device {
     record.regs_per_thread = meta.regs_per_thread;
     record.shared_bytes_per_block = meta.shared_bytes_per_block;
 
+    SK_CHECK_GT(meta.ordered_span_blocks, 0);
+    const int span = std::min(meta.ordered_span_blocks, cfg.grid_blocks);
     const int workers =
-        meta.host_serial ? 1 : std::min(execution_threads_, cfg.grid_blocks);
+        std::min(execution_threads_, (cfg.grid_blocks + span - 1) / span);
     if (workers <= 1) {
       for (int block = 0; block < cfg.grid_blocks; ++block) {
         RunBlock(block, cfg, kernel, &record.stats, &cache_,
                  /*locks=*/nullptr, /*trace=*/nullptr);
       }
     } else {
-      RunGridParallel(cfg, kernel, workers, &record.stats);
+      RunGridParallel(cfg, kernel, workers, span, &record.stats);
     }
 
     cost_model_.Finalize(&record);
@@ -212,11 +223,15 @@ class Device {
   /// block order through the device cache. Stat counters are additive and
   /// the replay reproduces the serial cache-access sequence, so the merged
   /// record is bit-identical to serial execution for any worker count or
-  /// chunking. Chunk size only affects scheduling granularity.
+  /// chunking. Chunks are whole multiples of `span_blocks`, so each
+  /// ordered span runs in block order on one worker; beyond that, chunk
+  /// size only affects scheduling granularity.
   template <typename KernelFn>
   void RunGridParallel(const LaunchConfig& cfg, KernelFn& kernel, int workers,
-                       KernelStats* out_stats) {
-    const int chunk_blocks = std::max(1, cfg.grid_blocks / (workers * 4));
+                       int span_blocks, KernelStats* out_stats) {
+    const int spans_per_chunk =
+        std::max(1, cfg.grid_blocks / (workers * 4) / span_blocks);
+    const int chunk_blocks = spans_per_chunk * span_blocks;
     const int num_chunks =
         (cfg.grid_blocks + chunk_blocks - 1) / chunk_blocks;
     struct Shard {

@@ -1011,8 +1011,12 @@ Result<RangeResult> KnnService::RangeChunk(
 
 void KnnService::FinishJob(Job* job, JobState state, Status status) {
   size_t active = 0;
+  // Read under the lock: once notify_all runs, WaitAndTake may free the
+  // job.
+  SteadyClock::time_point submit_time;
   {
     std::lock_guard<std::mutex> lock(jobs_mutex_);
+    submit_time = job->submit_time;
     job->state = state;
     if (!status.ok()) {
       job->fail_status = status;
@@ -1051,8 +1055,7 @@ void KnnService::FinishJob(Job* job, JobState state, Status status) {
       m_jobs_failed_->Increment();
       break;
   }
-  m_job_seconds_->Observe(SecondsBetween(job->submit_time,
-                                         SteadyClock::now()));
+  m_job_seconds_->Observe(SecondsBetween(submit_time, SteadyClock::now()));
   m_active_jobs_->Set(static_cast<double>(active));
 }
 

@@ -16,7 +16,8 @@
 // documents): per output row, dimensions accumulate in ascending j into
 // one float; tiles are processed in ascending order; within a tile,
 // lane l is row tile*kTileLanes + l. `tiles` points at the tile stream
-// of a PackedTargets; `row_begin` is tile-aligned.
+// of a PackedTargets; `row_begin` is tile-aligned. PairDistances* run
+// lane i as pair (a[i], b[i]) under the same per-pair order.
 
 namespace sweetknn::simd::internal {
 
@@ -26,6 +27,8 @@ void QueryDistancesScalar(const float* query, const float* tiles, size_t dims,
 void SelectNearestScalar(const float* dists, size_t n, uint32_t index_base,
                          TopK* heap);
 void AddRowScalar(float* acc, const float* row, size_t dims);
+void PairDistancesScalar(const float* const* a, const float* const* b,
+                         size_t n, size_t dims, Dist dist, float* out);
 
 #if SWEETKNN_SIMD_HAVE_AVX2
 void QueryDistancesAvx2(const float* query, const float* tiles, size_t dims,
@@ -34,6 +37,8 @@ void QueryDistancesAvx2(const float* query, const float* tiles, size_t dims,
 void SelectNearestAvx2(const float* dists, size_t n, uint32_t index_base,
                        TopK* heap);
 void AddRowAvx2(float* acc, const float* row, size_t dims);
+void PairDistancesAvx2(const float* const* a, const float* const* b,
+                       size_t n, size_t dims, Dist dist, float* out);
 #endif
 
 #if SWEETKNN_SIMD_HAVE_AVX512

@@ -46,4 +46,23 @@ void AddRowScalar(float* acc, const float* row, size_t dims) {
   for (size_t j = 0; j < dims; ++j) acc[j] += row[j];
 }
 
+void PairDistancesScalar(const float* const* a, const float* const* b,
+                         size_t n, size_t dims, Dist dist, float* out) {
+  for (size_t i = 0; i < n; ++i) {
+    const float* x = a[i];
+    const float* y = b[i];
+    float acc = 0.0f;
+    if (dist == Dist::kManhattan) {
+      for (size_t j = 0; j < dims; ++j) acc += std::fabs(x[j] - y[j]);
+    } else {
+      for (size_t j = 0; j < dims; ++j) {
+        const float diff = x[j] - y[j];
+        acc += diff * diff;
+      }
+      if (dist == Dist::kEuclidean) acc = std::sqrt(acc);
+    }
+    out[i] = acc;
+  }
+}
+
 }  // namespace sweetknn::simd::internal

@@ -178,6 +178,25 @@ void AddRow(float* acc, const float* row, size_t dims) {
   }
 }
 
+void PairDistances(const float* const* a, const float* const* b, size_t n,
+                   size_t dims, Dist dist, float* out) {
+  switch (ActiveLevel()) {
+#if SWEETKNN_SIMD_HAVE_AVX2
+    // The AVX-512 tier runs the AVX2 kernel too (every AVX-512F CPU
+    // implements AVX2): a 16x16 transpose timed no faster than two 8x8
+    // ones, and a padded 16-lane group is twice the work of an 8-lane
+    // one for the partial groups of a warp (docs/performance.md).
+    case Level::kAvx512:
+    case Level::kAvx2:
+      internal::PairDistancesAvx2(a, b, n, dims, dist, out);
+      return;
+#endif
+    default:
+      internal::PairDistancesScalar(a, b, n, dims, dist, out);
+      return;
+  }
+}
+
 void SelectNearest(const float* dists, size_t n, uint32_t index_base,
                    TopK* heap) {
   switch (ActiveLevel()) {

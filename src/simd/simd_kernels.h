@@ -124,6 +124,18 @@ void BlockDistances(const float* queries, size_t nq,
 void QueryBlockDistances(const float* query, const float* rows, size_t n,
                          size_t dims, Dist dist, float* out);
 
+/// Lane-parallel pair distances: out[i] = distance(a[i], b[i]) for `n`
+/// pairs of contiguous `dims`-float rows at arbitrary addresses. This is
+/// the host image of one SIMT distance instruction — lane i of the
+/// vector runs pair i, and each pair still accumulates its terms in
+/// ascending j into one float, so every tier is bit-identical to
+/// core::AccessorDistance. Pairs may share rows (several lanes of a warp
+/// working for one query). The vector tiers load 8 dimensions per pair
+/// and transpose the 8x8 block in registers, so the per-pair adds run
+/// one vector add per dimension; the AVX-512 tier runs the AVX2 kernel.
+void PairDistances(const float* const* a, const float* const* b, size_t n,
+                   size_t dims, Dist dist, float* out);
+
 /// acc[j] += row[j] for j in [0, dims). Elementwise (lane-independent),
 /// so vectorization cannot change any result bit.
 void AddRow(float* acc, const float* row, size_t dims);

@@ -84,8 +84,7 @@ class PayloadReader {
       return Truncated("float array");
     }
     out->resize(count);
-    std::memcpy(out->data(), data_.data() + cursor_, count * sizeof(float));
-    cursor_ += count * sizeof(float);
+    CopyOut(out->data(), count * sizeof(float));
     return Status::Ok();
   }
 
@@ -96,9 +95,7 @@ class PayloadReader {
       return Truncated("u32 array");
     }
     out->resize(count);
-    std::memcpy(out->data(), data_.data() + cursor_,
-                count * sizeof(uint32_t));
-    cursor_ += count * sizeof(uint32_t);
+    CopyOut(out->data(), count * sizeof(uint32_t));
     return Status::Ok();
   }
 
@@ -117,9 +114,7 @@ class PayloadReader {
     }
     SK_RETURN_IF_ERROR(CheckRemaining(rows * cols * sizeof(float), "matrix"));
     *out = HostMatrix(rows, cols);
-    std::memcpy(out->mutable_data(), data_.data() + cursor_,
-                rows * cols * sizeof(float));
-    cursor_ += rows * cols * sizeof(float);
+    CopyOut(out->mutable_data(), rows * cols * sizeof(float));
     return Status::Ok();
   }
 
@@ -147,9 +142,16 @@ class PayloadReader {
 
   Status GetRaw(void* out, size_t len, const char* kind) {
     SK_RETURN_IF_ERROR(CheckRemaining(len, kind));
-    std::memcpy(out, data_.data() + cursor_, len);
-    cursor_ += len;
+    CopyOut(out, len);
     return Status::Ok();
+  }
+
+  // Consumes `len` already-checked bytes into `out`. An empty array's
+  // data() may be null, and memcpy wants non-null pointers even for zero
+  // bytes, so empty copies are skipped.
+  void CopyOut(void* out, size_t len) {
+    if (len != 0) std::memcpy(out, data_.data() + cursor_, len);
+    cursor_ += len;
   }
 
   const std::string& data_;

@@ -1,5 +1,8 @@
 #include "core/device_points.h"
 
+#include <cstring>
+#include <utility>
+
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -121,6 +124,57 @@ TEST_F(DevicePointsTest, GatherRowsPreservesLayout) {
       DevicePoints::GatherRows(&dev_, pts, {1, 3}, "centers");
   EXPECT_EQ(centers.layout(), PointLayout::kColumnMajor);
   EXPECT_EQ(centers.At(1, 5), m.at(3, 5));
+}
+
+TEST_F(DevicePointsTest, WarpDistancesMatchAccessorAndChargeOneOp) {
+  const HostMatrix m = testing::UniformPoints(40, 23, 83);
+  for (PointLayout layout :
+       {PointLayout::kRowMajor, PointLayout::kColumnMajor}) {
+    for (Metric metric : {Metric::kEuclidean, Metric::kManhattan}) {
+      const DevicePoints pts =
+          DevicePoints::Upload(&dev_, m, layout, "p", 4, metric);
+      // Lanes pair point lane/3 with point 39 - lane; a divergent mask
+      // leaves some lanes idle.
+      auto run = [&](bool helper) {
+        gpusim::Reg<float> dist;
+        const gpusim::LaunchRecord& rec = dev_.Launch(
+            gpusim::KernelMeta{"probe", 32, 0}, gpusim::LaunchConfig{1, 32},
+            [&](gpusim::Warp& w) {
+              gpusim::Reg<PointAccessor> a;
+              gpusim::Reg<PointAccessor> b;
+              pts.LoadPoints(w, [](int lane) { return lane / 3; },
+                             [&](int lane, PointAccessor acc) {
+                               a[lane] = acc;
+                             });
+              pts.LoadPoints(w, [](int lane) { return 39 - lane; },
+                             [&](int lane, PointAccessor acc) {
+                               b[lane] = acc;
+                             });
+              w.If(w.Ballot([](int lane) { return lane % 5 != 2; }), [&] {
+                if (helper) {
+                  WarpDistances(w, a, b, pts.dims(), metric, &dist);
+                } else {
+                  w.Op(
+                      [&](int lane) {
+                        dist[lane] = pts.Distance(a[lane], b[lane]);
+                      },
+                      DistanceOpCost(pts.dims()));
+                }
+              });
+            });
+        return std::make_pair(rec.stats, dist);
+      };
+      const auto [want_stats, want] = run(false);
+      const auto [got_stats, got] = run(true);
+      EXPECT_EQ(want_stats.warp_instructions, got_stats.warp_instructions);
+      EXPECT_EQ(want_stats.active_lane_ops, got_stats.active_lane_ops);
+      for (int lane = 0; lane < gpusim::kWarpSize; ++lane) {
+        if (lane % 5 == 2) continue;
+        EXPECT_EQ(std::memcmp(&want[lane], &got[lane], sizeof(float)), 0)
+            << "lane " << lane;
+      }
+    }
+  }
 }
 
 TEST(DistanceOpCostTest, ScalesWithDims) {

@@ -1,9 +1,13 @@
 // Determinism suite for the parallel execution engine: running a grid at
-// 1, 2, or 8 host workers must produce bit-identical functional results
+// 1, 2, 4 or 8 host workers must produce bit-identical functional results
 // and bit-identical LaunchRecords (instructions, transactions,
-// dram_transactions, divergence, atomic serializations, simulated time).
+// dram_transactions, divergence, atomic serializations, simulated time),
+// including launches whose thread groups straddle block edges and run in
+// ordered block spans.
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "baseline/brute_force_cpu.h"
@@ -185,8 +189,8 @@ TEST(ParallelLaunch, MicroGridIsWorkerCountInvariant) {
 
 TEST(ParallelLaunch, HostSerialMetaForcesLegacyPath) {
   // A deliberately order-dependent kernel (fetch-add slot reservation)
-  // marked host_serial must give the serial slot assignment at any
-  // worker count.
+  // whose ordered span is the whole grid must give the serial slot
+  // assignment at any worker count.
   auto run = [](int workers) {
     Device dev(DeviceSpec::TeslaK20c());
     dev.set_execution_threads(workers);
@@ -195,7 +199,7 @@ TEST(ParallelLaunch, HostSerialMetaForcesLegacyPath) {
     cursor[0] = 0;
     DeviceBuffer<uint32_t> slots = dev.Alloc<uint32_t>(n, "slots");
     KernelMeta meta{"reserve_slots", 24, 0};
-    meta.host_serial = true;
+    meta.ordered_span_blocks = KernelMeta::kWholeGrid;
     dev.Launch(meta, LaunchConfig::Cover(static_cast<int64_t>(n), 128),
                [&](Warp& w) {
       Reg<uint32_t> slot;
@@ -215,6 +219,84 @@ TEST(ParallelLaunch, HostSerialMetaForcesLegacyPath) {
   EXPECT_EQ(serial, run(8));
 }
 
+/// Cooperating groups of 40 consecutive threads that straddle 64-thread
+/// block edges: each thread reads its group's slot, min-reduces a value
+/// derived from what it read into the slot, and reads the slot back, so
+/// what a thread sees depends on which group members ran before it. With
+/// an ordered span that holds whole groups, any worker count must
+/// reproduce the serial outputs and LaunchRecord.
+struct GroupRun {
+  Profile profile;
+  std::vector<float> seen;
+  std::vector<float> slots;
+};
+
+GroupRun RunStraddlingGroups(int workers, int span_blocks) {
+  Device dev(DeviceSpec::TeslaK20c());
+  dev.set_execution_threads(workers);
+  const int group = 40;
+  const LaunchConfig cfg{60, 64};  // 64 % 40 != 0: groups cross edges
+  const size_t threads = static_cast<size_t>(cfg.TotalThreads());
+  const size_t num_slots = threads / static_cast<size_t>(group);
+  DeviceBuffer<float> slots = dev.Alloc<float>(num_slots, "slots");
+  for (size_t i = 0; i < num_slots; ++i) slots[i] = 1e30f;
+  DeviceBuffer<float> seen = dev.Alloc<float>(threads, "seen");
+  KernelMeta meta{"straddling_groups", 32, 0};
+  meta.ordered_span_blocks = span_blocks;
+  dev.Launch(meta, cfg, [&](Warp& w) {
+    Reg<size_t> slot;
+    Reg<float> mine;
+    w.Op([&](int lane) {
+      const uint32_t tid = static_cast<uint32_t>(w.GlobalThreadId(lane));
+      slot[lane] = tid / static_cast<uint32_t>(group);
+      mine[lane] = static_cast<float>((tid * 2654435761u) % 1000u);
+    });
+    Reg<float> before;
+    w.Load(slots, [&](int lane) { return slot[lane]; },
+           [&](int lane, float v) { before[lane] = v; });
+    w.AtomicMinFloat(slots, [&](int lane) { return slot[lane]; },
+                     [&](int lane) {
+                       return std::min(before[lane] - 1.0f, mine[lane]);
+                     });
+    Reg<float> after;
+    w.Load(slots, [&](int lane) { return slot[lane]; },
+           [&](int lane, float v) { after[lane] = v; });
+    w.Store(seen, [&](int lane) { return w.GlobalThreadId(lane); },
+            [&](int lane) { return after[lane]; });
+  });
+  GroupRun run;
+  run.profile = dev.profile();
+  run.seen.resize(threads);
+  dev.CopyToHost(seen, run.seen.data(), threads);
+  run.slots.resize(num_slots);
+  dev.CopyToHost(slots, run.slots.data(), num_slots);
+  return run;
+}
+
+TEST(ParallelLaunch, OrderedSpanKeepsStraddlingGroupsSerial) {
+  // 40-thread groups in 64-thread blocks: the pattern repeats every
+  // lcm(64, 40) = 320 threads, so 5-block spans hold whole groups. The
+  // engine's natural chunks at 2, 4 and 8 workers (7, 3 and 1 blocks of
+  // the 60) would cut groups; the span must round them up.
+  const int span = 40 / std::gcd(64, 40);
+  ASSERT_EQ(span, 5);
+  const GroupRun serial = RunStraddlingGroups(1, span);
+  // Sanity: threads of one group saw different slot values, i.e. the
+  // outputs really depend on execution order within a group.
+  size_t order_dependent = 0;
+  for (size_t t = 0; t < serial.seen.size(); ++t) {
+    if (serial.seen[t] != serial.slots[t / 40]) ++order_dependent;
+  }
+  EXPECT_GT(order_dependent, serial.seen.size() / 8);
+  for (const int workers : {1, 2, 4, 8}) {
+    SCOPED_TRACE(workers);
+    const GroupRun run = RunStraddlingGroups(workers, span);
+    ExpectProfilesEqual(serial.profile, run.profile);
+    EXPECT_EQ(serial.seen, run.seen);
+    EXPECT_EQ(serial.slots, run.slots);
+  }
+}
+
 // --- End-to-end: the real level-1/level-2 kernels --------------------------
 
 HostMatrix RandomClusteredMatrix(size_t n, size_t dims, uint64_t seed) {
@@ -232,10 +314,23 @@ HostMatrix RandomClusteredMatrix(size_t n, size_t dims, uint64_t seed) {
 
 struct EngineRun {
   KnnResult result{0, 1};
-  uint64_t distance_calcs = 0;
-  double sim_time_s = 0.0;
+  core::KnnRunStats stats;
   Profile profile;
 };
+
+void ExpectRunStatsEqual(const core::KnnRunStats& a,
+                         const core::KnnRunStats& b) {
+  EXPECT_EQ(a.distance_calcs, b.distance_calcs);
+  EXPECT_EQ(a.total_pairs, b.total_pairs);
+  EXPECT_EQ(a.sim_time_s, b.sim_time_s);
+  EXPECT_EQ(a.level2_warp_efficiency, b.level2_warp_efficiency);
+  EXPECT_EQ(a.filter_used, b.filter_used);
+  EXPECT_EQ(a.placement_used, b.placement_used);
+  EXPECT_EQ(a.threads_per_query, b.threads_per_query);
+  EXPECT_EQ(a.landmarks_query, b.landmarks_query);
+  EXPECT_EQ(a.landmarks_target, b.landmarks_target);
+  EXPECT_EQ(a.query_partitions, b.query_partitions);
+}
 
 EngineRun RunEngine(const core::TiOptions& base, int workers,
                     const HostMatrix& query, const HostMatrix& target,
@@ -246,27 +341,39 @@ EngineRun RunEngine(const core::TiOptions& base, int workers,
   core::TiKnnEngine engine(&dev, options);
   engine.Prepare(query, target);
   EngineRun run;
-  core::KnnRunStats stats;
-  run.result = engine.Run(k, &stats);
-  run.distance_calcs = stats.distance_calcs;
-  run.sim_time_s = stats.sim_time_s;
+  run.result = engine.Run(k, &run.stats);
+  run.stats.profile.Clear();
   run.profile = dev.profile();
   return run;
 }
 
-void ExpectEngineDeterministic(const core::TiOptions& options) {
+/// Returns the serial run, for callers that check what it exercised.
+EngineRun ExpectEngineDeterministic(
+    const core::TiOptions& options, size_t query_rows = 300,
+    const std::vector<int>& worker_counts = {kWorkerCounts.begin(),
+                                             kWorkerCounts.end()}) {
   const HostMatrix target = RandomClusteredMatrix(700, 8, 1);
-  const HostMatrix query = RandomClusteredMatrix(300, 8, 2);
+  const HostMatrix query = RandomClusteredMatrix(query_rows, 8, 2);
   const int k = 10;
-  const EngineRun serial = RunEngine(options, 1, query, target, k);
-  for (const int workers : kWorkerCounts) {
+  EngineRun serial = RunEngine(options, 1, query, target, k);
+  for (const int workers : worker_counts) {
     SCOPED_TRACE(workers);
     const EngineRun run = RunEngine(options, workers, query, target, k);
     ExpectResultsEqual(serial.result, run.result);
-    EXPECT_EQ(serial.distance_calcs, run.distance_calcs);
-    EXPECT_EQ(serial.sim_time_s, run.sim_time_s);
+    ExpectRunStatsEqual(serial.stats, run.stats);
     ExpectProfilesEqual(serial.profile, run.profile);
   }
+  return serial;
+}
+
+/// Grid blocks of the run's level-2 filter launch.
+int Level2FilterBlocks(const Profile& profile) {
+  for (const LaunchRecord& launch : profile.launches) {
+    if (launch.kernel_name == "level2_full_filter") {
+      return launch.grid_blocks;
+    }
+  }
+  return 0;
 }
 
 TEST(ParallelLaunch, SweetKnnAdaptiveIsWorkerCountInvariant) {
@@ -282,6 +389,27 @@ TEST(ParallelLaunch, MultiThreadPerQueryIsWorkerCountInvariant) {
   options.threads_per_query_override = 4;  // exercises shared-theta slots
   options.filter_override = core::Level2Filter::kFull;
   ExpectEngineDeterministic(options);
+}
+
+// Cooperating groups that straddle 256-thread block edges: tpq = 3 (as
+// the adaptive scheme picks for dor) runs in 3-block ordered spans and
+// tpq = 66 (arcene) in 33-block spans; both must match the serial engine.
+TEST(ParallelLaunch, StraddlingThreeThreadGroupsAreWorkerCountInvariant) {
+  core::TiOptions options;
+  options.threads_per_query_override = 3;
+  options.filter_override = core::Level2Filter::kFull;
+  const EngineRun serial = ExpectEngineDeterministic(options, 2000, {1, 4});
+  EXPECT_EQ(serial.stats.threads_per_query, 3);
+  EXPECT_GT(Level2FilterBlocks(serial.profile), 3 * 4);  // several spans
+}
+
+TEST(ParallelLaunch, StraddlingSixtySixThreadGroupsAreWorkerCountInvariant) {
+  core::TiOptions options;
+  options.threads_per_query_override = 66;
+  options.filter_override = core::Level2Filter::kFull;
+  const EngineRun serial = ExpectEngineDeterministic(options, 300, {1, 4});
+  EXPECT_EQ(serial.stats.threads_per_query, 66);
+  EXPECT_GT(Level2FilterBlocks(serial.profile), 33 * 2);  // several spans
 }
 
 TEST(ParallelLaunch, PartialFilterIsWorkerCountInvariant) {

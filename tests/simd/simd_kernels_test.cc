@@ -1,7 +1,9 @@
 // Kernel-equivalence suite: every compiled-in SIMD tier must return
 // bytes identical to the canonical scalar fallback — for all distance
 // kinds, dims 1..130 (odd sizes and remainder lanes included),
-// unaligned bases, and NaN/inf inputs. This is the contract that lets
+// unaligned bases, and NaN/inf inputs; the lane-parallel pair kernel
+// must match core::AccessorDistance for every pair count of a warp and
+// dims up to 10000. This is the contract that lets
 // the rewired callers (BruteForceCpu, ScanDelta, clustering, the
 // planner's host route) keep the repo's bit-exactness invariants.
 
@@ -172,6 +174,92 @@ TEST(SimdKernelsTest, NanAndInfPropagateIdentically) {
       QueryDistances(query.data(), packed, dist, got.data());
       SCOPED_TRACE(testing::Message() << LevelName(level) << " dist="
                                       << static_cast<int>(dist));
+      ASSERT_EQ(std::memcmp(want.data(), got.data(), n * sizeof(float)), 0);
+    }
+  }
+}
+
+/// The scalar reference of one lane of PairDistances: the simulator's
+/// own per-lane distance.
+float ReferencePair(const float* a, const float* b, size_t dims,
+                    core::Metric metric) {
+  return core::AccessorDistance(core::PointAccessor{a, 1},
+                                core::PointAccessor{b, 1}, dims, metric);
+}
+
+TEST(SimdKernelsTest, PairDistancesBitIdenticalToAccessorDistance) {
+  LevelGuard guard;
+  Rng rng(18090);
+  for (size_t dims : {1u, 3u, 4u, 15u, 16u, 17u, 42u, 1024u, 10000u}) {
+    // Both blocks start one float past their allocation, so no row is
+    // vector-aligned; three a-rows serve 32 lanes, so neighbouring lanes
+    // share an a-row the way the lanes of one query's thread group do.
+    const std::vector<float> a_raw = RandomBlock(&rng, 3 * dims + 1, 1);
+    const std::vector<float> b_raw = RandomBlock(&rng, 32 * dims + 1, 1);
+    std::vector<const float*> a(32);
+    std::vector<const float*> b(32);
+    for (size_t i = 0; i < 32; ++i) {
+      a[i] = a_raw.data() + 1 + (i / 11) * dims;
+      b[i] = b_raw.data() + 1 + ((i * 7) % 32) * dims;
+    }
+    for (core::Metric metric :
+         {core::Metric::kEuclidean, core::Metric::kManhattan}) {
+      // Every pair count of a warp: whole vector groups, partial groups
+      // and lone pairs.
+      for (size_t n = 1; n <= 32; ++n) {
+        std::vector<float> want(n);
+        for (size_t i = 0; i < n; ++i) {
+          want[i] = ReferencePair(a[i], b[i], dims, metric);
+        }
+        for (Level level : AvailableLevels()) {
+          ForceLevelForTest(static_cast<int>(level));
+          std::vector<float> got(n);
+          PairDistances(a.data(), b.data(), n, dims,
+                        core::SimdDistFor(metric), got.data());
+          SCOPED_TRACE(testing::Message()
+                       << "level=" << LevelName(level) << " dims=" << dims
+                       << " n=" << n
+                       << " metric=" << static_cast<int>(metric));
+          ExpectBitEqual(want, got, "PairDistances");
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernelsTest, PairDistancesPropagateNanAndInfIdentically) {
+  LevelGuard guard;
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const size_t dims = 21;
+  const size_t n = 19;
+  Rng rng(77);
+  std::vector<float> rows_a = RandomBlock(&rng, n, dims);
+  std::vector<float> rows_b = RandomBlock(&rng, n, dims);
+  rows_a[2 * dims + 3] = kNan;
+  rows_b[5 * dims + 20] = kInf;
+  rows_a[9 * dims] = -kInf;
+  rows_b[9 * dims] = -kInf;  // inf - inf = NaN
+  rows_a[16 * dims + 17] = kInf;
+  std::vector<const float*> a(n);
+  std::vector<const float*> b(n);
+  for (size_t i = 0; i < n; ++i) {
+    a[i] = rows_a.data() + i * dims;
+    b[i] = rows_b.data() + i * dims;
+  }
+  for (core::Metric metric :
+       {core::Metric::kEuclidean, core::Metric::kManhattan}) {
+    std::vector<float> want(n);
+    for (size_t i = 0; i < n; ++i) {
+      want[i] = ReferencePair(a[i], b[i], dims, metric);
+    }
+    for (Level level : AvailableLevels()) {
+      ForceLevelForTest(static_cast<int>(level));
+      std::vector<float> got(n);
+      PairDistances(a.data(), b.data(), n, dims, core::SimdDistFor(metric),
+                    got.data());
+      SCOPED_TRACE(testing::Message() << LevelName(level) << " metric="
+                                      << static_cast<int>(metric));
       ASSERT_EQ(std::memcmp(want.data(), got.data(), n * sizeof(float)), 0);
     }
   }
