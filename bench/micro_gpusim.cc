@@ -5,11 +5,17 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
+#include <numeric>
+#include <random>
+
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "common/topk.h"
 #include "gpusim/cache_sim.h"
 #include "gpusim/device.h"
+#include "gpusim/exec_engine.h"
 #include "gpusim/warp.h"
 
 namespace sweetknn {
@@ -35,6 +41,45 @@ void BM_WarpBallot(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WarpBallot);
+
+// A warp with its top lane off, as in a grid's trailing partial warp:
+// Op and Ballot walk the mask lane by lane.
+constexpr gpusim::LaneMask kPartialMask = 0x7fffffffu;
+
+void BM_WarpOpPartialMask(benchmark::State& state) {
+  gpusim::KernelStats stats;
+  gpusim::Warp warp(&stats, 0, 256, 0, kPartialMask);
+  gpusim::Reg<float> acc;
+  for (auto _ : state) {
+    warp.Op([&](int lane) { acc[lane] += 1.0f; });
+  }
+  benchmark::DoNotOptimize(acc);
+  state.SetItemsProcessed(state.iterations() * 31);
+}
+BENCHMARK(BM_WarpOpPartialMask);
+
+void BM_WarpBallotPartialMask(benchmark::State& state) {
+  gpusim::KernelStats stats;
+  gpusim::Warp warp(&stats, 0, 256, 0, kPartialMask);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        warp.Ballot([](int lane) { return lane % 3 == 0; }));
+  }
+}
+BENCHMARK(BM_WarpBallotPartialMask);
+
+/// Lane offsets 0..31 in a fixed random order.
+std::array<size_t, 32> ShuffledLanes() {
+  std::array<size_t, 32> perm;
+  std::iota(perm.begin(), perm.end(), size_t{0});
+  std::shuffle(perm.begin(), perm.end(), std::mt19937_64(3));
+  return perm;
+}
+
+/// Traced-mode warps append to a SegmentTrace the engine replays and
+/// frees per chunk; the benchmarks free it every kTraceFlushIters
+/// iterations so it stays small.
+constexpr int64_t kTraceFlushIters = 4096;
 
 void BM_CoalescedLoad(benchmark::State& state) {
   gpusim::Device dev(gpusim::DeviceSpec::TeslaK20c());
@@ -64,6 +109,96 @@ void BM_ScatteredLoad(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 32);
 }
 BENCHMARK(BM_ScatteredLoad);
+
+void BM_BroadcastLoad(benchmark::State& state) {
+  gpusim::Device dev(gpusim::DeviceSpec::TeslaK20c());
+  auto buf = dev.Alloc<float>(1 << 16, "buf");
+  gpusim::KernelStats stats;
+  gpusim::CacheSim cache(10240);
+  gpusim::Warp warp(&stats, 0, 256, 0, gpusim::kFullMask, &cache);
+  size_t base = 0;
+  for (auto _ : state) {
+    warp.Load(buf, [&](int) { return base; }, [](int, float) {});
+    base = (base + 32) & 0xffff;
+  }
+  benchmark::DoNotOptimize(stats.global_transactions);
+  state.SetItemsProcessed(state.iterations() * 32);
+}
+BENCHMARK(BM_BroadcastLoad);
+
+// Lanes hit 32 distinct segments in a shuffled order, so the coalescer
+// must sort them before merging.
+void BM_ShuffledLoad(benchmark::State& state) {
+  gpusim::Device dev(gpusim::DeviceSpec::TeslaK20c());
+  auto buf = dev.Alloc<float>(1 << 16, "buf");
+  gpusim::KernelStats stats;
+  gpusim::CacheSim cache(10240);
+  gpusim::Warp warp(&stats, 0, 256, 0, gpusim::kFullMask, &cache);
+  const std::array<size_t, 32> perm = ShuffledLanes();
+  for (auto _ : state) {
+    warp.Load(buf, [&](int lane) { return perm[lane] * 1024; },
+              [](int, float) {});
+  }
+  benchmark::DoNotOptimize(stats.global_transactions);
+  state.SetItemsProcessed(state.iterations() * 32);
+}
+BENCHMARK(BM_ShuffledLoad);
+
+void BM_CoalescedLoadTraced(benchmark::State& state) {
+  gpusim::Device dev(gpusim::DeviceSpec::TeslaK20c());
+  auto buf = dev.Alloc<float>(1 << 16, "buf");
+  gpusim::KernelStats stats;
+  gpusim::SegmentTrace trace;
+  gpusim::Warp warp(&stats, 0, 256, 0, gpusim::kFullMask, nullptr, nullptr,
+                    &trace);
+  size_t base = 0;
+  int64_t iters = 0;
+  for (auto _ : state) {
+    warp.Load(buf, [&](int lane) { return (base + lane) & 0xffff; },
+              [](int, float) {});
+    base += 32;
+    if (++iters % kTraceFlushIters == 0) trace.Release();
+  }
+  benchmark::DoNotOptimize(stats.global_transactions);
+  state.SetItemsProcessed(state.iterations() * 32);
+}
+BENCHMARK(BM_CoalescedLoadTraced);
+
+void BM_ShuffledLoadTraced(benchmark::State& state) {
+  gpusim::Device dev(gpusim::DeviceSpec::TeslaK20c());
+  auto buf = dev.Alloc<float>(1 << 16, "buf");
+  gpusim::KernelStats stats;
+  gpusim::SegmentTrace trace;
+  gpusim::Warp warp(&stats, 0, 256, 0, gpusim::kFullMask, nullptr, nullptr,
+                    &trace);
+  const std::array<size_t, 32> perm = ShuffledLanes();
+  int64_t iters = 0;
+  for (auto _ : state) {
+    warp.Load(buf, [&](int lane) { return perm[lane] * 1024; },
+              [](int, float) {});
+    if (++iters % kTraceFlushIters == 0) trace.Release();
+  }
+  benchmark::DoNotOptimize(stats.global_transactions);
+  state.SetItemsProcessed(state.iterations() * 32);
+}
+BENCHMARK(BM_ShuffledLoadTraced);
+
+void BM_PartialMaskLoad(benchmark::State& state) {
+  gpusim::Device dev(gpusim::DeviceSpec::TeslaK20c());
+  auto buf = dev.Alloc<float>(1 << 16, "buf");
+  gpusim::KernelStats stats;
+  gpusim::CacheSim cache(10240);
+  gpusim::Warp warp(&stats, 0, 256, 0, kPartialMask, &cache);
+  size_t base = 0;
+  for (auto _ : state) {
+    warp.Load(buf, [&](int lane) { return (base + lane) & 0xffff; },
+              [](int, float) {});
+    base += 32;
+  }
+  benchmark::DoNotOptimize(stats.global_transactions);
+  state.SetItemsProcessed(state.iterations() * 31);
+}
+BENCHMARK(BM_PartialMaskLoad);
 
 void BM_LoadRangePoint(benchmark::State& state) {
   const size_t dims = static_cast<size_t>(state.range(0));

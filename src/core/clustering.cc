@@ -496,32 +496,46 @@ std::vector<uint32_t> SelectLandmarks(Device* dev, const DevicePoints& points,
 
   std::vector<float> host_sums(static_cast<size_t>(trials), 0.0f);
   const simd::Dist dist_kind = SimdDistFor(points.metric());
-  std::vector<float> gathered(static_cast<size_t>(m) * dims);
-  std::vector<float> pair_dists(static_cast<size_t>(m));
-  for (int trial = 0; trial < trials; ++trial) {
-    const size_t base = static_cast<size_t>(trial) * static_cast<size_t>(m);
-    // Gather the trial's candidate rows, pack once, and evaluate each
-    // row-i-vs-all block with the batch kernels. Each pair distance is
-    // bit-identical to the old per-pair walk, and the double sum still
-    // adds them in ascending (i, j>i) order, so host_sums is unchanged.
-    for (int i = 0; i < m; ++i) {
-      const PointAccessor pt =
-          points.HostPoint(candidates[base + static_cast<size_t>(i)]);
-      float* dst = gathered.data() + static_cast<size_t>(i) * dims;
-      for (size_t j = 0; j < dims; ++j) dst[j] = pt[j];
-    }
-    const simd::PackedTargets packed = simd::PackedTargets::Pack(
-        gathered.data(), static_cast<size_t>(m), dims);
-    double sum = 0.0;
-    for (int i = 0; i < m; ++i) {
-      simd::QueryDistances(gathered.data() + static_cast<size_t>(i) * dims,
-                           packed, dist_kind, pair_dists.data());
-      for (int j = i + 1; j < m; ++j) {
-        sum += static_cast<double>(pair_dists[static_cast<size_t>(j)]);
-      }
-    }
-    host_sums[static_cast<size_t>(trial)] = static_cast<float>(sum);
-  }
+  const size_t mm = static_cast<size_t>(m);
+  // Trials are independent: each gathers and packs its own candidate
+  // rows and writes only its own host_sums slot, so they run on the
+  // device's execution threads with results independent of the count.
+  // One chunk per worker, so each worker allocates its buffers once.
+  const int workers = dev->execution_threads();
+  const size_t trials_per_worker =
+      (static_cast<size_t>(trials) + static_cast<size_t>(workers) - 1) /
+      static_cast<size_t>(workers);
+  common::ParallelFor(
+      workers, static_cast<size_t>(trials), trials_per_worker,
+      [&](size_t trial_begin, size_t trial_end) {
+        std::vector<float> gathered(mm * dims);
+        std::vector<float> pair_dists(mm);
+        for (size_t trial = trial_begin; trial < trial_end; ++trial) {
+          const uint32_t* ids = candidates.data() + trial * mm;
+          for (size_t i = 0; i < mm; ++i) {
+            const PointAccessor pt = points.HostPoint(ids[i]);
+            float* dst = gathered.data() + i * dims;
+            for (size_t j = 0; j < dims; ++j) dst[j] = pt[j];
+          }
+          const simd::PackedTargets packed =
+              simd::PackedTargets::Pack(gathered.data(), mm, dims);
+          // Row i evaluates only columns from the tile holding j = i + 1
+          // on. Each pair distance is bit-identical to a full-row
+          // evaluation, and the double sum still adds them in ascending
+          // (i, j > i) order, so host_sums is unchanged.
+          double sum = 0.0;
+          for (size_t i = 0; i + 1 < mm; ++i) {
+            const size_t aligned = (i + 1) / simd::kTileLanes *
+                                   simd::kTileLanes;
+            simd::QueryDistances(gathered.data() + i * dims, packed, aligned,
+                                 mm, dist_kind, pair_dists.data());
+            for (size_t j = i + 1; j < mm; ++j) {
+              sum += static_cast<double>(pair_dists[j - aligned]);
+            }
+          }
+          host_sums[trial] = static_cast<float>(sum);
+        }
+      });
   const size_t best = static_cast<size_t>(
       std::max_element(host_sums.begin(), host_sums.end()) -
       host_sums.begin());
@@ -529,8 +543,8 @@ std::vector<uint32_t> SelectLandmarks(Device* dev, const DevicePoints& points,
       candidates.begin() + static_cast<long>(best * static_cast<size_t>(m)),
       candidates.begin() +
           static_cast<long>((best + 1) * static_cast<size_t>(m)));
-  // Duplicate candidates would create empty twin clusters; dedupe while
-  // preserving order (replacement ids drawn deterministically).
+  // Duplicate candidates would create empty twin clusters; sort and dedupe
+  // the ids, then top up with replacement ids drawn deterministically.
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   while (out.size() < static_cast<size_t>(m)) {

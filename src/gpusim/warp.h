@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -270,18 +271,16 @@ class Warp {
     // Count the distinct segments of element 0, consult the cache for
     // them, and replicate both counts per element (each further element
     // repeats the same lane pattern shifted by the stride).
-    std::sort(segments_.begin(), segments_.end());
+    SortSegments();
     std::array<uint64_t, kWarpSize> distinct;
     size_t first_elem_segments = 0;
     uint64_t prev = ~uint64_t{0};
-    for (const auto& [seg_first, seg_last] : segments_) {
-      if (seg_first != prev) {
-        distinct[first_elem_segments++] = seg_first;
+    for (size_t s = 0; s < num_segments_; ++s) {
+      if (segments_[s].first != prev) {
+        distinct[first_elem_segments++] = segments_[s].first;
       }
-      prev = seg_first;
-      (void)seg_last;
+      prev = segments_[s].first;
     }
-    segments_.clear();
     stats_->global_transactions +=
         static_cast<uint64_t>(first_elem_segments) * count;
     if (trace_ != nullptr) {
@@ -404,6 +403,7 @@ class Warp {
         cost * static_cast<uint64_t>(std::popcount(active_));
   }
 
+  /// Runs body(lane) for every active lane in ascending lane order.
   template <typename F>
   void ForActive(F&& body) {
     LaneMask m = active_;
@@ -454,20 +454,40 @@ class Warp {
   }
 
   // Segment accounting: segments_ accumulates [first,last] 128B-segment
-  // intervals touched by the lanes of one memory instruction; FlushSegments
-  // merges them and charges the distinct segment count.
-  void BeginSegments() { segments_.clear(); }
+  // intervals touched by the lanes of one memory instruction (at most one
+  // per lane); FlushSegments merges them and charges the distinct segment
+  // count.
+  struct SegmentInterval {
+    uint64_t first;
+    uint64_t last;
+  };
+
+  void BeginSegments() { num_segments_ = 0; }
   void AddSegments(uint64_t addr, uint64_t bytes) {
-    const uint64_t first = addr / kSegmentBytes;
-    const uint64_t last = (addr + bytes - 1) / kSegmentBytes;
-    segments_.emplace_back(first, last);
+    SK_DCHECK(num_segments_ < segments_.size());
+    segments_[num_segments_++] = {addr / kSegmentBytes,
+                                  (addr + bytes - 1) / kSegmentBytes};
+  }
+  /// Orders the intervals by first segment. Broadcast and lane-ascending
+  /// accesses arrive ordered and skip the sort. The order among intervals
+  /// sharing a first segment is left open: the ascending merge folds them
+  /// into one run whatever their order, so the merged runs (and the cache
+  /// probes they make) are the same as after a full sort.
+  void SortSegments() {
+    const auto by_first = [](const SegmentInterval& a,
+                             const SegmentInterval& b) {
+      return a.first < b.first;
+    };
+    const auto begin = segments_.begin();
+    const auto end = begin + static_cast<std::ptrdiff_t>(num_segments_);
+    if (!std::is_sorted(begin, end, by_first)) std::sort(begin, end, by_first);
   }
   void FlushSegments() {
-    if (segments_.empty()) return;
-    std::sort(segments_.begin(), segments_.end());
+    if (num_segments_ == 0) return;
+    SortSegments();
     uint64_t count = 0;
     uint64_t cur_first = segments_[0].first;
-    uint64_t cur_last = segments_[0].second;
+    uint64_t cur_last = segments_[0].last;
     auto emit = [&](uint64_t first, uint64_t last) {
       count += last - first + 1;
       if (trace_ != nullptr) {
@@ -481,14 +501,14 @@ class Warp {
         stats_->dram_transactions += last - first + 1;
       }
     };
-    for (size_t i = 1; i < segments_.size(); ++i) {
-      const auto [first, last] = segments_[i];
-      if (first <= cur_last + 1) {
-        cur_last = std::max(cur_last, last);
+    for (size_t i = 1; i < num_segments_; ++i) {
+      const SegmentInterval next = segments_[i];
+      if (next.first <= cur_last + 1) {
+        cur_last = std::max(cur_last, next.last);
       } else {
         emit(cur_first, cur_last);
-        cur_first = first;
-        cur_last = last;
+        cur_first = next.first;
+        cur_last = next.last;
       }
     }
     emit(cur_first, cur_last);
@@ -504,7 +524,8 @@ class Warp {
   HostAtomicLocks* locks_ = nullptr;
   SegmentTrace* trace_ = nullptr;
   std::vector<LoopFrame> loop_stack_;
-  std::vector<std::pair<uint64_t, uint64_t>> segments_;
+  std::array<SegmentInterval, kWarpSize> segments_{};
+  size_t num_segments_ = 0;
 };
 
 }  // namespace sweetknn::gpusim

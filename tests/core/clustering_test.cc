@@ -1,6 +1,11 @@
 #include "core/clustering.h"
 
+#include <algorithm>
 #include <set>
+#include <vector>
+
+#include "common/rng.h"
+#include "simd/simd_kernels.h"
 
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -36,6 +41,82 @@ TEST_F(ClusteringTest, SelectLandmarksReturnsDistinctValidIds) {
   std::set<uint32_t> unique(ids.begin(), ids.end());
   EXPECT_EQ(unique.size(), 40u);
   for (const uint32_t id : ids) EXPECT_LT(id, 200u);
+}
+
+/// SelectLandmarks as a serial loop: every trial evaluates full rows of
+/// the candidate distance matrix and sums the pairs above the diagonal in
+/// ascending (i, j > i) order. The pooled, upper-triangle evaluation must
+/// pick the same landmarks.
+std::vector<uint32_t> SerialFullRowLandmarks(const DevicePoints& points,
+                                             int m, int trials,
+                                             uint64_t seed) {
+  const size_t n = points.n();
+  const size_t dims = points.dims();
+  const size_t mm = static_cast<size_t>(m);
+  Rng rng(seed);
+  std::vector<uint32_t> candidates(static_cast<size_t>(trials) * mm);
+  for (uint32_t& id : candidates) {
+    id = static_cast<uint32_t>(rng.NextBounded(n));
+  }
+  std::vector<float> sums(static_cast<size_t>(trials));
+  std::vector<float> gathered(mm * dims);
+  std::vector<float> row(mm);
+  for (size_t trial = 0; trial < sums.size(); ++trial) {
+    for (size_t i = 0; i < mm; ++i) {
+      const PointAccessor pt = points.HostPoint(candidates[trial * mm + i]);
+      for (size_t j = 0; j < dims; ++j) gathered[i * dims + j] = pt[j];
+    }
+    const simd::PackedTargets packed =
+        simd::PackedTargets::Pack(gathered.data(), mm, dims);
+    double sum = 0.0;
+    for (size_t i = 0; i < mm; ++i) {
+      simd::QueryDistances(gathered.data() + i * dims, packed,
+                           SimdDistFor(points.metric()), row.data());
+      for (size_t j = i + 1; j < mm; ++j) sum += row[j];
+    }
+    sums[trial] = static_cast<float>(sum);
+  }
+  const size_t best = static_cast<size_t>(
+      std::max_element(sums.begin(), sums.end()) - sums.begin());
+  std::vector<uint32_t> out(candidates.begin() + best * mm,
+                            candidates.begin() + (best + 1) * mm);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  while (out.size() < mm) {
+    const uint32_t id = static_cast<uint32_t>(rng.NextBounded(n));
+    if (!std::binary_search(out.begin(), out.end(), id)) {
+      out.insert(std::lower_bound(out.begin(), out.end(), id), id);
+    }
+  }
+  return out;
+}
+
+TEST_F(ClusteringTest, SelectLandmarksIndependentOfExecutionThreads) {
+  for (const size_t dims : {1, 4, 42, 1024}) {
+    const HostMatrix host = ClusteredPoints(64, dims, 5, 100 + dims);
+    for (const PointLayout layout :
+         {PointLayout::kRowMajor, PointLayout::kColumnMajor}) {
+      for (const Metric metric : {Metric::kEuclidean, Metric::kManhattan}) {
+        const DevicePoints pts =
+            DevicePoints::Upload(&dev_, host, layout, "p", 4, metric);
+        for (const int m : {1, 2, 15, 16, 17, 33}) {
+          const uint64_t seed = 31 * dims + static_cast<uint64_t>(m);
+          SCOPED_TRACE(::testing::Message()
+                       << "dims=" << dims << " m=" << m << " layout="
+                       << static_cast<int>(layout)
+                       << " metric=" << static_cast<int>(metric));
+          const std::vector<uint32_t> expected =
+              SerialFullRowLandmarks(pts, m, 10, seed);
+          for (const int threads : {1, 2, 4}) {
+            dev_.set_execution_threads(threads);
+            EXPECT_EQ(SelectLandmarks(&dev_, pts, m, 10, seed, 256), expected)
+                << "threads=" << threads;
+          }
+          dev_.set_execution_threads(1);
+        }
+      }
+    }
+  }
 }
 
 TEST_F(ClusteringTest, QueryAssignmentIsNearestCenter) {
