@@ -4,6 +4,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "ann/ann_index.h"
@@ -16,11 +17,16 @@
 #include "core/options.h"
 #include "core/range_search.h"
 #include "core/route_planner.h"
+#include "core/shard_merge.h"
 #include "core/ti_knn_gpu.h"
 #include "gpusim/device.h"
 #include "simd/simd_kernels.h"
 
 namespace sweetknn {
+
+namespace store {
+struct IndexSnapshot;
+}  // namespace store
 
 /// The library's front door: Sweet KNN with an owned simulated device.
 ///
@@ -115,14 +121,25 @@ class SweetKnn {
 /// the argument).
 ///
 /// Rows are named by stable ids: the initial target's rows get ids
-/// 0..rows-1, every Insert allocates the next id, and ids are never
-/// reused. Query results report stable ids.
+/// offset..offset+rows-1 (offset 0 unless the index holds one slice of
+/// a larger target), every Insert allocates the next id, and ids are
+/// never reused. Query results report stable ids.
+///
+/// The same object is one shard of the serving layer: serve::KnnService
+/// and the shard-worker processes hold one index per target slice, route
+/// each group themselves, and combine the per-shard Answer/RangeAnswer
+/// contributions with core::MergeShardAnswers. They allocate stable ids
+/// globally (Insert(id, point)) and schedule compactions through the
+/// capture / rebuild / install steps below, so a rebuild runs outside
+/// their lock.
 ///
 /// Not thread-safe; serve::KnnService is the concurrent front-end.
 class SweetKnnIndex {
  public:
+  /// `offset` is the stable id of the target's first row.
   explicit SweetKnnIndex(const HostMatrix& target,
-                         const SweetKnn::Config& config = {});
+                         const SweetKnn::Config& config = {},
+                         uint32_t offset = 0);
 
   SweetKnnIndex(const SweetKnnIndex&) = delete;
   SweetKnnIndex& operator=(const SweetKnnIndex&) = delete;
@@ -148,6 +165,32 @@ class SweetKnnIndex {
   /// Single-point convenience.
   std::vector<Neighbor> Query(const std::vector<float>& point, int k);
 
+  /// Answers one same-k query group on a caller-chosen route, as the
+  /// contribution core::MergeShardAnswers pools: Query is the planner's
+  /// choice, then this, then the planner's observation of the run.
+  ///
+  /// A pristine index runs its base at k and reports local indices
+  /// (pristine answer: stable id = index + offset at merge time). A
+  /// mutated index over-queries its base at k + |tombstones| (masking
+  /// can then never starve the top k), side-scans its delta, and merges
+  /// the two through MergeMutableResults — reporting its exact live
+  /// top-k with stable ids substituted.
+  ///
+  /// `route` picks the exact base scan (simulated-device engine or the
+  /// vectorized host kernels); both answer bit-identically, and a
+  /// host-routed answer carries no simulated-device stats
+  /// (device_routed = false). An effectively approx `mode` (with a built
+  /// graph) answers the base from the ANN tier instead and reports the
+  /// graph-search work counters. `stats` (optional) receives the full
+  /// engine stats of a device-routed run, empty stats otherwise;
+  /// `ann_stats` (optional) accumulates the graph-search counters.
+  core::ShardAnswer Answer(const HostMatrix& queries, int k,
+                           core::QueryRoute route,
+                           const ann::SearchMode& mode =
+                               ann::SearchMode::Exact(),
+                           core::KnnRunStats* stats = nullptr,
+                           ann::AnnSearchStats* ann_stats = nullptr);
+
   // -- Range modalities (docs/modalities.md) --------------------------
 
   /// Every live point within the closed ball distance <= radius of each
@@ -160,6 +203,12 @@ class SweetKnnIndex {
   /// (optional) reports the base-scan work/pruning counters.
   RangeResult RadiusSearch(const HostMatrix& queries, float radius,
                            core::RangeScanStats* stats = nullptr);
+
+  /// RadiusSearch on a caller-chosen route, as the per-shard answer
+  /// core::MergeRangeShardAnswers pools: rows carry stable ids
+  /// (tombstones masked, delta matches merged in).
+  core::RangeShardAnswer RangeAnswer(const HostMatrix& queries, float radius,
+                                     core::QueryRoute route);
 
   /// Every unordered pair of live points within the closed ball, each
   /// emitted once as (a, b, distance) with a < b, ordered by ascending
@@ -191,26 +240,94 @@ class SweetKnnIndex {
   /// auto-compaction (see Config::compact_delta_fraction).
   uint32_t Insert(const std::vector<float>& point);
 
+  /// Adds `point` (dims() floats) under a stable id the caller
+  /// allocated. InvalidArgument, with no state change, when `id` does
+  /// not exceed every delta id or already lives in this index. Never
+  /// auto-compacts.
+  Status Insert(uint32_t id, const float* point);
+
   /// Deletes the point with this stable id. Delta-resident points are
   /// erased in place; base rows are tombstoned until the next
-  /// compaction. Returns false if the id was never live or already
-  /// removed. Removing every point is allowed — queries then answer all
-  /// padding. May trigger auto-compaction.
+  /// compaction, and so are delta entries an in-flight compaction has
+  /// captured (erasing one would resurrect it at install). Returns false
+  /// if the id was never live or already removed. Removing every point
+  /// is allowed — queries then answer all padding. May trigger
+  /// auto-compaction.
   bool Remove(uint32_t id);
+
+  /// True when stable id `id` lives in this index: a base row
+  /// (tombstoned or not) or a delta entry.
+  bool Owns(uint32_t id) const;
 
   /// Folds the overlay into a fresh base: survivors of the old base plus
   /// the delta points, arranged in ascending stable-id order, get a
   /// from-scratch Step-1 clustering on a fresh simulated device (so the
   /// adaptive scheme sees exactly the allocation state of a cold build).
-  /// No-op when the overlay is empty or no points survive.
+  /// Runs CaptureCompaction, RebuildCompaction and InstallCompaction
+  /// back to back. No-op when the overlay is empty, no points survive,
+  /// or a captured compaction is still in flight.
   void Compact();
+
+  /// True when the overlay (delta points + tombstones) exceeds
+  /// `fraction` of the base rows; `fraction` <= 0 never does. The
+  /// auto-compaction trigger, and the serving layer's scheduling rule.
+  bool OverlayExceeds(double fraction) const;
+
+  // -- Compaction protocol (docs/mutability.md) ------------------------
+
+  /// One compaction between its capture and its install. Capture and
+  /// install run under the owner's lock; RebuildCompaction touches only
+  /// the plan, so it can run outside the lock while the index keeps
+  /// serving and mutating.
+  struct CompactionPlan {
+    SweetKnn::Config config;    ///< The index's config at capture.
+    size_t watermark = 0;       ///< Delta entries consumed by the plan.
+    HostMatrix points;          ///< Survivors + consumed delta, id order.
+    std::vector<uint32_t> ids;  ///< Stable ids of `points` rows.
+    /// Tombstones at capture (already excluded from `points`).
+    std::unordered_set<uint32_t> captured_tombstones;
+    /// The rebuilt base; after the install, the retired one, so the
+    /// owner picks where it is destroyed. The engine is declared after
+    /// its device and so dies first.
+    std::unique_ptr<gpusim::Device> device;
+    std::unique_ptr<core::TiKnnEngine> engine;
+    simd::PackedTargets packed;
+    ann::AnnIndex ann;
+  };
+
+  /// Capture: snapshots the live points (base survivors, then live delta
+  /// entries — ascending stable-id order) into `plan` and marks the
+  /// delta watermark. Returns false, changing nothing, when there is
+  /// nothing to fold (empty overlay) or nothing survives (an empty base
+  /// cannot be clustered). Must not be called with a compaction in
+  /// flight.
+  bool CaptureCompaction(CompactionPlan* plan);
+
+  /// Rebuild: a fresh simulated device (so the adaptive scheme sees the
+  /// free memory a cold build would), a full Step-1 clustering over the
+  /// captured points, the packed host copy, and a fresh ANN graph when
+  /// enabled.
+  static void RebuildCompaction(CompactionPlan* plan);
+
+  /// Install: swaps the rebuilt base in and carries forward mutations
+  /// made since the capture — the delta suffix past the watermark
+  /// verbatim, and removes of captured rows as tombstones of the new
+  /// base. Captured ids that are literally 0..n-1 restore pristine form;
+  /// any other id set becomes the new base's id map.
+  void InstallCompaction(CompactionPlan* plan);
+
+  /// True between CaptureCompaction and InstallCompaction.
+  bool compaction_in_flight() const {
+    return compact_watermark_ != kNoCompaction;
+  }
+
+  // -- Persistence (src/store/index_io.cc; link sweetknn_store) --------
 
   /// Persists the index (target points + target clustering + overlay +
   /// configuration fingerprints) to `path` in the src/store snapshot
   /// format; a pristine (never-mutated) index writes the backward-
   /// compatible v1 format, a mutated one v2. `dataset_name` is recorded
-  /// as provenance. Defined in src/store/index_io.cc; link
-  /// sweetknn_store to use it.
+  /// as provenance.
   Status Save(const std::string& path,
               const std::string& dataset_name = "") const;
 
@@ -218,10 +335,28 @@ class SweetKnnIndex {
   /// overlay — skipping the Step-1 landmark clustering. The snapshot
   /// must have been built under the same options and device spec as
   /// `config` (fingerprint-checked); a warm-loaded index answers every
-  /// query bit-identically to the index that was saved. Defined in
-  /// src/store/index_io.cc; link sweetknn_store to use it.
+  /// query bit-identically to the index that was saved. A shard file of
+  /// a serving set loads as its slice: stable ids keep its offset.
   static Result<std::unique_ptr<SweetKnnIndex>> Load(
       const std::string& path, const SweetKnn::Config& config = {});
+
+  /// The index as a snapshot: shard geometry and provenance as given,
+  /// `next_id` recorded for a mutated index (the owner's id allocator
+  /// for a serving shard). Delta entries tombstoned mid-compaction are
+  /// dropped together with their tombstones, so the file's tombstones
+  /// name base rows only.
+  store::IndexSnapshot ExportSnapshot(const std::string& dataset_name,
+                                      const std::string& builder,
+                                      uint32_t shard_index,
+                                      uint32_t shard_count,
+                                      uint32_t next_id) const;
+
+  /// Materializes an index from a loaded snapshot (Load's second half),
+  /// after checking its fingerprints against `config`; `source` names
+  /// the snapshot in error messages.
+  static Result<std::unique_ptr<SweetKnnIndex>> Restore(
+      store::IndexSnapshot snapshot, const SweetKnn::Config& config,
+      const std::string& source);
 
   /// Live points: base rows minus tombstones plus delta points.
   size_t size() const {
@@ -254,35 +389,42 @@ class SweetKnnIndex {
   const core::RoutePlanner& planner() const { return planner_; }
 
  private:
+  static constexpr size_t kNoCompaction = static_cast<size_t>(-1);
+
   struct WarmStartTag {};
   SweetKnnIndex(WarmStartTag, const HostMatrix& target,
                 const core::TargetClusteringHost& clustering,
-                const SweetKnn::Config& config);
+                const SweetKnn::Config& config, uint32_t offset);
 
-  /// Installs a restored overlay (Load's v2 path). `id_map` empty means
-  /// identity; `next_id` 0 means pristine (base rows).
+  /// Installs a restored overlay (Restore's v2 path). `id_map` empty
+  /// means the offset identity; the id allocator restarts at the larger
+  /// of `next_id` and one past every id present.
   void AdoptOverlay(std::vector<uint32_t> id_map,
                     std::vector<uint32_t> delta_ids,
                     std::vector<float> delta_points,
                     const std::vector<uint32_t>& tombstones,
                     uint32_t next_id);
 
-  /// (Re)builds the ANN tier over `base` when enabled, seeding the entry
-  /// points from the engine's Step-1 landmark clustering. Clears the
-  /// tier when disabled or the base is empty.
-  void RebuildAnn(const HostMatrix& base);
-  /// Installs a persisted graph (Load's v3 path) instead of rebuilding.
-  void AdoptAnnGraph(const HostMatrix& base, ann::KnnGraph graph);
+  /// The ANN tier over `base` under `config` (empty when disabled or the
+  /// base is empty), seeding the entry points from `engine`'s Step-1
+  /// landmark clustering.
+  static ann::AnnIndex BuildAnn(const SweetKnn::Config& config,
+                                const HostMatrix& base,
+                                const core::TiKnnEngine& engine);
 
   /// Stable id of base row `i`.
   uint32_t BaseId(size_t i) const {
-    return id_map_.empty() ? static_cast<uint32_t>(i) : id_map_[i];
+    return id_map_.empty() ? offset_ + static_cast<uint32_t>(i)
+                           : id_map_[i];
   }
-  bool BaseContains(uint32_t id) const;
+  /// True when `mode` answers the base from the ANN tier.
+  bool UsesAnn(const ann::SearchMode& mode) const {
+    return !mode.EffectiveExact() && !ann_.empty();
+  }
   void MaybeCompact();
 
   /// The host image of the engine's Step-1 target clustering, exported
-  /// lazily and cached until the next Compact() replaces the base (the
+  /// lazily and cached until a compaction replaces the base (the
   /// export is charge-free, so caching is purely to avoid re-copying).
   const core::TargetClusteringHost& CachedClustering();
 
@@ -290,20 +432,28 @@ class SweetKnnIndex {
   std::unique_ptr<gpusim::Device> device_;
   std::unique_ptr<core::TiKnnEngine> engine_;
   core::RoutePlanner planner_;
-  /// The frozen base, pre-packed for the vectorized host route (rebuilt
-  /// by Compact alongside the engine).
+  /// The frozen base, pre-packed for the vectorized host route (replaced
+  /// by compaction installs alongside the engine).
   simd::PackedTargets packed_base_;
   /// The approximate tier over the same frozen base (empty when
   /// Config::enable_ann is off).
   ann::AnnIndex ann_;
   size_t dims_ = 0;
   size_t base_rows_ = 0;
+  /// Stable id of base row 0 while id_map_ is empty.
+  uint32_t offset_ = 0;
   /// Base row -> stable id, strictly increasing; empty = identity
-  /// (initial build, or a compaction that produced ids 0..rows-1).
+  /// shifted by offset_ (initial build, or a compaction that produced
+  /// ids 0..rows-1).
   std::vector<uint32_t> id_map_;
   core::DeltaBuffer delta_;
   uint32_t next_id_ = 0;
   uint64_t compactions_ = 0;
+  /// While a compaction is in flight: how many delta entries it
+  /// captured. Removes of captured entries tombstone instead of erasing
+  /// (the rebuild already contains them); the suffix past the watermark
+  /// stays freely mutable.
+  size_t compact_watermark_ = kNoCompaction;
   /// See CachedClustering().
   std::unique_ptr<core::TargetClusteringHost> clustering_cache_;
 };

@@ -230,7 +230,7 @@ struct JobResultReply {
 
 /// Asks for the live points of the named shards — the query source of
 /// the router's self-join and kNN-graph jobs (the cluster counterpart
-/// of ShardHost::ExportLive).
+/// of SweetKnnIndex::ExportLive).
 struct ExportLiveRequest {
   std::vector<uint32_t> shard_indices;
   std::string tenant = "default";

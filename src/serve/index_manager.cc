@@ -2,7 +2,28 @@
 
 #include <utility>
 
+#include "common/thread_pool.h"
+
 namespace sweetknn::serve {
+
+SweetKnn::Config ShardIndexConfig(const core::TiOptions& options,
+                                  const gpusim::DeviceSpec& device,
+                                  bool enable_ann,
+                                  const ann::GraphBuildParams& ann_params) {
+  SweetKnn::Config config;
+  config.device = device;
+  config.options = options;
+  config.options.sim_threads = 1;
+  config.compact_delta_fraction = 0.0;
+  config.enable_ann = enable_ann;
+  config.ann_params = ann_params;
+  if (config.ann_params.workers <= 0) {
+    config.ann_params.workers = options.sim_threads > 0
+                                    ? options.sim_threads
+                                    : common::SimThreadsFromEnv();
+  }
+  return config;
+}
 
 bool IndexManager::ValidName(const std::string& name) {
   if (name.empty() || name.size() > 64) return false;

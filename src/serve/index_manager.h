@@ -11,7 +11,7 @@
 
 #include "common/metrics.h"
 #include "common/status.h"
-#include "serve/shard_backend.h"
+#include "core/sweet_knn.h"
 
 namespace sweetknn::serve {
 
@@ -20,6 +20,21 @@ namespace sweetknn::serve {
 /// "<snapshot_dir>/<tenant>/"), so every pre-multi-tenant directory
 /// layout keeps warm-starting unchanged.
 inline constexpr const char* kDefaultTenant = "default";
+
+/// The config of every serving shard, in-process (KnnService) and in the
+/// shard-worker processes alike. Shard engines are pinned to one
+/// execution thread: the shard fan-out is the host-parallel axis, and
+/// ThreadPool::ForkJoin is non-reentrant from slot 0, so a shard running
+/// inside the fan-out must never open a nested region (the engine is
+/// bit-identical at any thread count, so only wall-clock changes). The
+/// owner schedules compactions, so the index never auto-compacts. ANN
+/// graph builds keep the owner's parallelism: unset
+/// `ann_params.workers` resolve to `options.sim_threads`, or to the
+/// environment default when that is unset too.
+SweetKnn::Config ShardIndexConfig(const core::TiOptions& options,
+                                  const gpusim::DeviceSpec& device,
+                                  bool enable_ann,
+                                  const ann::GraphBuildParams& ann_params);
 
 /// One named, independently mutable index: the complete per-tenant
 /// state of the multi-tenant service. Everything the single-tenant
@@ -44,13 +59,16 @@ struct TenantIndex {
   std::string snapshot_dir;
 
   /// Guards everything below it that is not atomic: shards (including
-  /// their overlays), shard_offsets, target_rows, next_id. Same role —
+  /// their overlays), shard_epochs, target_rows, next_id. Same role —
   /// and same lock order against stats/compact/cache mutexes — as the
   /// old service-wide index_mutex_.
   mutable std::mutex mutex;
   size_t target_rows = 0;
-  std::vector<std::unique_ptr<ShardHost>> shards;
-  std::vector<uint32_t> shard_offsets;
+  std::vector<std::unique_ptr<SweetKnnIndex>> shards;
+  /// Install tickets, one per shard: assigned (from the service's epoch
+  /// counter) whenever a shard object is created or replaced. A
+  /// compaction that captured an older epoch abandons its install.
+  std::vector<uint64_t> shard_epochs;
   /// Next stable id Insert allocates; starts at the initial row count.
   uint32_t next_id = 0;
 

@@ -83,11 +83,10 @@ KnnService::KnnService(AdoptTag, std::vector<store::IndexSnapshot> snapshots,
   tenant->snapshot_dir = TenantSnapshotDir(kDefaultTenant);
   RegisterTenantMetrics(tenant.get());
   ShardSet set = BuildShardsFromSnapshots(std::move(snapshots));
-  for (std::unique_ptr<Shard>& shard : set.shards) {
-    shard->epoch = ++epoch_counter_;
+  for (size_t s = 0; s < set.shards.size(); ++s) {
+    tenant->shard_epochs.push_back(++epoch_counter_);
   }
   tenant->shards = std::move(set.shards);
-  tenant->shard_offsets = std::move(set.offsets);
   tenant->target_rows = set.live_rows;
   tenant->next_id = set.next_id;
   {
@@ -153,17 +152,17 @@ std::shared_ptr<TenantIndex> KnnService::BuildTenant(
   RegisterTenantMetrics(tenant.get());
 
   // Each shard simulates its own device, so the shard fan-out below is the
-  // host-parallel axis. The shard engines are pinned to one execution
-  // thread: ThreadPool::ForkJoin is non-reentrant from slot 0, so a shard
-  // running inside the fan-out must never open a nested region — and by
-  // the execution engine's guarantee this changes nothing but wall-clock.
-  core::TiOptions shard_options = config_.options;
-  shard_options.sim_threads = 1;
+  // host-parallel axis (ShardIndexConfig pins each shard engine to one
+  // execution thread).
+  const SweetKnn::Config shard_config =
+      ShardIndexConfig(config_.options, config_.device, config_.enable_ann,
+                       config_.ann_params);
 
   const size_t dims = tenant->dims;
   const size_t base = target.rows() / static_cast<size_t>(num_shards);
   const size_t rem = target.rows() % static_cast<size_t>(num_shards);
   std::vector<HostMatrix> slices;
+  std::vector<uint32_t> offsets;
   size_t offset = 0;
   for (int s = 0; s < num_shards; ++s) {
     const size_t rows = base + (static_cast<size_t>(s) < rem ? 1 : 0);
@@ -171,17 +170,8 @@ std::shared_ptr<TenantIndex> KnnService::BuildTenant(
     std::memcpy(slice.mutable_data(), target.row(offset),
                 rows * dims * sizeof(float));
     slices.push_back(std::move(slice));
-    auto shard = std::make_unique<Shard>(config_.device, shard_options);
-    // ann_params.workers falls back to the service's configured
-    // parallelism, not silently to SWEETKNN_SIM_THREADS.
-    shard->ConfigureAnn(config_.enable_ann, config_.ann_params,
-                        config_.options.sim_threads);
-    shard->offset = static_cast<uint32_t>(offset);
-    shard->set_base_rows(rows);
-    shard->delta.dims = dims;
-    shard->epoch = ++epoch_counter_;
-    tenant->shard_offsets.push_back(static_cast<uint32_t>(offset));
-    tenant->shards.push_back(std::move(shard));
+    offsets.push_back(static_cast<uint32_t>(offset));
+    tenant->shard_epochs.push_back(++epoch_counter_);
     offset += rows;
   }
   // The constructor's rows carry stable ids 0..rows-1; Insert allocates
@@ -206,7 +196,7 @@ std::shared_ptr<TenantIndex> KnnService::BuildTenant(
       for (int s = 0; s < num_shards; ++s) {
         const auto idx = static_cast<size_t>(s);
         const store::IndexSnapshot& snap = snapshots[idx];
-        if (snap.shard_offset != tenant->shard_offsets[idx] ||
+        if (snap.shard_offset != offsets[idx] ||
             snap.target.rows() != slices[idx].rows() ||
             std::memcmp(snap.target.data(), slices[idx].data(),
                         slices[idx].size() * sizeof(float)) != 0) {
@@ -226,20 +216,24 @@ std::shared_ptr<TenantIndex> KnnService::BuildTenant(
     }
   }
 
-  // Build the per-shard indexes in parallel; each PrepareTarget /
-  // RestoreTarget touches only its own device.
+  // Build the per-shard indexes in parallel; each build or restore
+  // touches only its own device. Warm or cold, the base bytes are the
+  // slice bytes (warm starts byte-compare the snapshot against the slice
+  // above), and a restore adopts any persisted ANN graph instead of
+  // re-running NN-descent.
+  tenant->shards.resize(static_cast<size_t>(num_shards));
   common::ThreadPool::Global()->ForkJoin(num_shards, [&](int s) {
     const auto idx = static_cast<size_t>(s);
     if (warm) {
-      // Warm or cold, the base bytes are the slice bytes (warm starts
-      // byte-compare the snapshot against the slice above). Adopting the
-      // (pristine) overlay first parks any persisted ANN graph so
-      // RestoreBase can adopt it instead of re-running NN-descent.
-      tenant->shards[idx]->AdoptOverlay(snapshots[idx]);
-      tenant->shards[idx]->RestoreBase(snapshots[idx].target,
-                                       snapshots[idx].clustering);
+      Result<std::unique_ptr<SweetKnnIndex>> restored =
+          SweetKnnIndex::Restore(std::move(snapshots[idx]), shard_config,
+                                 store::ShardSnapshotPath(snapshot_dir, s,
+                                                          num_shards));
+      SK_CHECK(restored.ok()) << restored.status().ToString();
+      tenant->shards[idx] = std::move(restored).value();
     } else {
-      tenant->shards[idx]->BuildCold(slices[idx]);
+      tenant->shards[idx] = std::make_unique<SweetKnnIndex>(
+          slices[idx], shard_config, offsets[idx]);
     }
   });
   if (warm) {
@@ -1272,15 +1266,16 @@ Result<std::vector<uint32_t>> KnnService::InsertBatch(
     }
     for (size_t r = 0; r < points.rows(); ++r) {
       const uint32_t id = tenant->next_id++;
-      Shard& shard =
+      SweetKnnIndex& shard =
           *tenant->shards[id % static_cast<uint32_t>(tenant->shards.size())];
-      shard.delta.Append(id, points.row(r));
+      const Status inserted = shard.Insert(id, points.row(r));
+      SK_CHECK(inserted.ok()) << inserted.ToString();
       ids.push_back(id);
       ++tenant->target_rows;
     }
     BumpCacheEpoch();
     UpdateOverlayGaugesLocked(tenant.get());
-    for (const std::unique_ptr<Shard>& shard : tenant->shards) {
+    for (const std::unique_ptr<SweetKnnIndex>& shard : tenant->shards) {
       MaybeScheduleCompaction(*shard);
     }
   }
@@ -1311,8 +1306,8 @@ Result<bool> KnnService::Remove(const CallOptions& opts, uint32_t id) {
     }
     const int s = OwningShard(*tenant, id);
     if (s >= 0) {
-      Shard& shard = *tenant->shards[static_cast<size_t>(s)];
-      removed = shard.ApplyRemove(id);
+      SweetKnnIndex& shard = *tenant->shards[static_cast<size_t>(s)];
+      removed = shard.Remove(id);
       if (removed) {
         --tenant->target_rows;
         BumpCacheEpoch();
@@ -1509,15 +1504,15 @@ void KnnService::RunGroup(std::vector<RequestPtr> group) {
         rows, tenant->shards[static_cast<size_t>(s)]->base_rows(), dims);
   }
   // The per-shard work — base scan (over-queried when mutated), delta
-  // side scan, shard-local merge — lives in ShardHost::SearchGroup, the
+  // side scan, shard-local merge — lives in SweetKnnIndex::Answer, the
   // one code path the remote shard workers run too; the fan-out here is
   // just the in-process backend's transport.
   std::vector<core::ShardAnswer> answers(static_cast<size_t>(num_shards));
   const SteadyClock::time_point fanout_start = SteadyClock::now();
   common::ThreadPool::Global()->ForkJoin(num_shards, [&](int s) {
     const auto idx = static_cast<size_t>(s);
-    answers[idx] = tenant->shards[idx]->SearchGroup(
-        queries, k, routes[idx], config_.options.metric, mode);
+    answers[idx] =
+        tenant->shards[idx]->Answer(queries, k, routes[idx], mode);
   });
   const SteadyClock::time_point merge_start = SteadyClock::now();
   m_shard_fanout_->Observe(SecondsBetween(fanout_start, merge_start));
@@ -1555,8 +1550,8 @@ void KnnService::RunGroup(std::vector<RequestPtr> group) {
           static_cast<size_t>(num_shards));
       common::ThreadPool::Global()->ForkJoin(num_shards, [&](int s) {
         const auto idx = static_cast<size_t>(s);
-        exact_answers[idx] = tenant->shards[idx]->SearchGroup(
-            queries, k, routes[idx], config_.options.metric);
+        exact_answers[idx] =
+            tenant->shards[idx]->Answer(queries, k, routes[idx]);
       });
       const KnnResult exact = core::MergeShardAnswers(exact_answers, k);
       // recall@k per row: |approx ids ∩ exact ids| / |exact live ids|
@@ -1641,8 +1636,8 @@ void KnnService::RunRangeGroup(std::vector<RequestPtr> group) {
   const SteadyClock::time_point fanout_start = SteadyClock::now();
   common::ThreadPool::Global()->ForkJoin(num_shards, [&](int s) {
     const auto idx = static_cast<size_t>(s);
-    answers[idx] = tenant->shards[idx]->RangeGroup(
-        queries, radius, routes[idx], config_.options.metric);
+    answers[idx] =
+        tenant->shards[idx]->RangeAnswer(queries, radius, routes[idx]);
   });
   const SteadyClock::time_point merge_start = SteadyClock::now();
   m_shard_fanout_->Observe(SecondsBetween(fanout_start, merge_start));
@@ -1766,19 +1761,10 @@ void KnnService::RecordGroupStats(
 // Compaction
 // ---------------------------------------------------------------------------
 
-bool KnnService::OverThreshold(const Shard& shard) const {
-  if (config_.compact_delta_fraction <= 0.0) return false;
-  const size_t overlay = shard.delta.size() + shard.delta.tombstones.size();
-  if (overlay == 0) return false;
-  return static_cast<double>(overlay) >
-         config_.compact_delta_fraction *
-             static_cast<double>(std::max<size_t>(shard.base_rows(), 1));
-}
-
-void KnnService::MaybeScheduleCompaction(const Shard& shard) {
+void KnnService::MaybeScheduleCompaction(const SweetKnnIndex& shard) {
   if (!config_.auto_compact) return;
-  if (shard.compact_watermark != kNoCompaction) return;
-  if (!OverThreshold(shard)) return;
+  if (shard.compaction_in_flight()) return;
+  if (!shard.OverlayExceeds(config_.compact_delta_fraction)) return;
   {
     std::lock_guard<std::mutex> lock(compact_mutex_);
     compact_pending_ = true;
@@ -1789,9 +1775,10 @@ void KnnService::MaybeScheduleCompaction(const Shard& shard) {
 int KnnService::PickCompactionCandidate(TenantIndex* tenant) {
   std::lock_guard<std::mutex> index_lock(tenant->mutex);
   for (size_t s = 0; s < tenant->shards.size(); ++s) {
-    const Shard& shard = *tenant->shards[s];
-    if (shard.compact_watermark == kNoCompaction && OverThreshold(shard) &&
-        shard.live_rows() > 0) {
+    const SweetKnnIndex& shard = *tenant->shards[s];
+    if (!shard.compaction_in_flight() &&
+        shard.OverlayExceeds(config_.compact_delta_fraction) &&
+        shard.size() > 0) {
       return static_cast<int>(s);
     }
   }
@@ -1873,54 +1860,38 @@ Status KnnService::CompactAll(const std::string& tenant_name) {
 
 Status KnnService::CompactShardInternal(TenantIndex* tenant, int s) {
   const SteadyClock::time_point start = SteadyClock::now();
-  CompactionPlan plan;
-  bool ann_enabled = false;
-  ann::GraphBuildParams ann_params;
+  const auto idx = static_cast<size_t>(s);
+  SweetKnnIndex::CompactionPlan plan;
+  uint64_t epoch = 0;
   // Capture: everything the rebuild needs, snapshotted under the tenant's
   // index lock. The consumed prefix is delta[0..watermark); entries
   // appended after the capture stay in the suffix and carry over
   // untouched.
   {
     std::lock_guard<std::mutex> index_lock(tenant->mutex);
-    Shard& shard = *tenant->shards[static_cast<size_t>(s)];
-    if (shard.compact_watermark != kNoCompaction) {
+    SweetKnnIndex& shard = *tenant->shards[idx];
+    if (shard.compaction_in_flight()) {
       return Status::Unavailable(
           "shard " + std::to_string(s) +
           " already has a compaction in flight");
     }
-    if (shard.delta.Pristine()) return Status::Ok();  // nothing to fold
-    if (shard.live_rows() == 0) {
-      // Every point removed: an empty base cannot be clustered. The
-      // overlay stays as is; queries keep answering all padding.
-      return Status::Ok();
-    }
-    // The live shard's params carry the resolved worker count
-    // (ConfigureAnn's fallback), so the rebuilt graph parallelizes the
-    // same way the original build did.
-    ann_enabled = shard.ann_enabled();
-    ann_params = shard.ann_params();
-    CaptureCompaction(&shard, s, &plan);
+    // An empty overlay has nothing to fold; with every point removed, an
+    // empty base cannot be clustered, so the overlay stays as is and
+    // queries keep answering all padding.
+    if (!shard.CaptureCompaction(&plan)) return Status::Ok();
+    epoch = tenant->shard_epochs[idx];
   }
 
-  // Rebuild off-lock: a fresh simulated device (so the adaptive scheme
-  // sees the same free memory a cold build would) and a full Step-1
-  // clustering over the captured points. Serving continues against the
-  // old shard the whole time. The capture/rebuild/carry-over protocol is
-  // shared with the shard workers (serve/shard_backend.h), so a
-  // compaction on either backend produces the identical fresh shard.
-  core::TiOptions shard_options = config_.options;
-  shard_options.sim_threads = 1;
-  std::unique_ptr<Shard> fresh =
-      RebuildCompacted(plan, config_.device, shard_options, tenant->dims,
-                       ann_enabled, ann_params);
+  // Rebuild off-lock; serving continues against the old base the whole
+  // time. The shard workers run the same SweetKnnIndex steps, so a
+  // compaction on either backend produces the identical fresh base.
+  SweetKnnIndex::RebuildCompaction(&plan);
 
   // Install: only if the shard we captured from is still the live one
   // (a SwapIndex assigns fresh epochs, orphaning this rebuild).
-  std::unique_ptr<Shard> retired;
   {
     std::lock_guard<std::mutex> index_lock(tenant->mutex);
-    if (static_cast<size_t>(s) >= tenant->shards.size() ||
-        tenant->shards[static_cast<size_t>(s)]->epoch != plan.epoch) {
+    if (idx >= tenant->shards.size() || tenant->shard_epochs[idx] != epoch) {
       {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++stats_.compaction_aborts;
@@ -1930,21 +1901,12 @@ Status KnnService::CompactShardInternal(TenantIndex* tenant, int s) {
           "shard " + std::to_string(s) +
           " was replaced while its compaction ran; rebuild discarded");
     }
-    // Mutations that landed during the rebuild carry over: the delta
-    // suffix verbatim (its entries are never tombstoned — removes past
-    // the watermark erase physically), and removes of captured rows as
-    // tombstones of the new base.
-    CarryOverlayForward(*tenant->shards[static_cast<size_t>(s)], plan,
-                        fresh.get());
-    fresh->epoch = ++epoch_counter_;
-    tenant->shards[static_cast<size_t>(s)].swap(fresh);
-    tenant->shard_offsets[static_cast<size_t>(s)] =
-        tenant->shards[static_cast<size_t>(s)]->offset;
-    retired = std::move(fresh);
+    // Mutations that landed during the rebuild carry over onto the new
+    // base (InstallCompaction).
+    tenant->shards[idx]->InstallCompaction(&plan);
     BumpCacheEpoch();
     UpdateOverlayGaugesLocked(tenant);
   }
-  retired.reset();  // the old engine dies here, off the serving path
   RefreshGlobalOverlayGauges();
   ClearCache();
   {
@@ -1954,7 +1916,7 @@ Status KnnService::CompactShardInternal(TenantIndex* tenant, int s) {
   m_compactions_->Increment();
   m_compacted_rows_->Increment(static_cast<double>(plan.points.rows()));
   m_compaction_seconds_->Observe(SecondsBetween(start, SteadyClock::now()));
-  return Status::Ok();
+  return Status::Ok();  // the plan, now holding the old base, dies off-lock
 }
 
 // ---------------------------------------------------------------------------
@@ -2074,45 +2036,28 @@ Result<std::vector<store::IndexSnapshot>> KnnService::LoadShardSet(
 
 KnnService::ShardSet KnnService::BuildShardsFromSnapshots(
     std::vector<store::IndexSnapshot> snapshots) const {
-  core::TiOptions shard_options = config_.options;
-  shard_options.sim_threads = 1;
+  const SweetKnn::Config shard_config =
+      ShardIndexConfig(config_.options, config_.device, config_.enable_ann,
+                       config_.ann_params);
   const int num_shards = static_cast<int>(snapshots.size());
   ShardSet set;
-  set.next_id = 0;
-  for (int s = 0; s < num_shards; ++s) {
-    const auto idx = static_cast<size_t>(s);
-    store::IndexSnapshot& snap = snapshots[idx];
-    auto shard = std::make_unique<Shard>(config_.device, shard_options);
-    shard->ConfigureAnn(config_.enable_ann, config_.ann_params,
-                        config_.options.sim_threads);
-    shard->AdoptOverlay(snap);
-    set.live_rows += shard->live_rows();
-    // The id allocator restarts strictly above every id any shard knows
-    // (file next_ids already satisfy that; pristine shards contribute
-    // their last base id).
-    uint32_t ceiling = shard->BaseId(snap.target.rows() - 1) + 1;
-    if (!snap.delta_ids.empty()) {
-      ceiling = std::max(ceiling, snap.delta_ids.back() + 1);
-    }
-    set.next_id = std::max({set.next_id, snap.next_id, ceiling});
-    set.offsets.push_back(shard->offset);
-    set.shards.push_back(std::move(shard));
-  }
+  set.shards.resize(snapshots.size());
   common::ThreadPool::Global()->ForkJoin(num_shards, [&](int s) {
     const auto idx = static_cast<size_t>(s);
-    set.shards[idx]->RestoreBase(snapshots[idx].target,
-                                 snapshots[idx].clustering);
+    // LoadShardSet already checked the fingerprints against this config.
+    Result<std::unique_ptr<SweetKnnIndex>> restored = SweetKnnIndex::Restore(
+        std::move(snapshots[idx]), shard_config,
+        "shard " + std::to_string(s));
+    SK_CHECK(restored.ok()) << restored.status().ToString();
+    set.shards[idx] = std::move(restored).value();
   });
+  // The id allocator restarts strictly above every id any shard knows
+  // (a restored index's next_id is already above each of its own ids).
+  for (const std::unique_ptr<SweetKnnIndex>& shard : set.shards) {
+    set.live_rows += shard->size();
+    set.next_id = std::max(set.next_id, shard->next_id());
+  }
   return set;
-}
-
-store::IndexSnapshot KnnService::ExportShard(const TenantIndex& tenant,
-                                             int s) const {
-  return tenant.shards[static_cast<size_t>(s)]->Export(
-      config_.dataset_name, "KnnService::SaveSnapshots",
-      static_cast<uint32_t>(s), static_cast<uint32_t>(tenant.shards.size()),
-      store::OptionsFingerprint(config_.options),
-      store::DeviceFingerprint(config_.device), tenant.next_id);
 }
 
 Status KnnService::SaveTenantSnapshots(TenantIndex* tenant,
@@ -2127,7 +2072,10 @@ Status KnnService::SaveTenantSnapshots(TenantIndex* tenant,
   const int num_shards = static_cast<int>(tenant->shards.size());
   for (int s = 0; s < num_shards; ++s) {
     SK_RETURN_IF_ERROR(store::SaveIndexSnapshot(
-        ExportShard(*tenant, s),
+        tenant->shards[static_cast<size_t>(s)]->ExportSnapshot(
+            config_.dataset_name, "KnnService::SaveSnapshots",
+            static_cast<uint32_t>(s), static_cast<uint32_t>(num_shards),
+            tenant->next_id),
         store::ShardSnapshotPath(dir, s, num_shards)));
   }
   return Status::Ok();
@@ -2183,11 +2131,8 @@ Status KnnService::SwapIndexInternal(TenantIndex* tenant,
     std::lock_guard<std::mutex> index_lock(tenant->mutex);
     // Fresh epochs orphan every compaction captured against the old
     // generation: its install will see a mismatch and discard itself.
-    for (std::unique_ptr<Shard>& shard : set.shards) {
-      shard->epoch = ++epoch_counter_;
-    }
+    for (uint64_t& epoch : tenant->shard_epochs) epoch = ++epoch_counter_;
     tenant->shards.swap(set.shards);
-    tenant->shard_offsets = std::move(set.offsets);
     tenant->target_rows = set.live_rows;
     // The allocator never rewinds — ids of the replaced generation must
     // stay retired, or a later insert could collide with an id a client
@@ -2234,9 +2179,9 @@ void KnnService::ClearCache() {
 void KnnService::UpdateOverlayGaugesLocked(TenantIndex* tenant) {
   size_t delta_points = 0;
   size_t tombstones = 0;
-  for (const std::unique_ptr<Shard>& shard : tenant->shards) {
-    delta_points += shard->delta.size();
-    tombstones += shard->delta.tombstones.size();
+  for (const std::unique_ptr<SweetKnnIndex>& shard : tenant->shards) {
+    delta_points += shard->delta_size();
+    tombstones += shard->tombstone_count();
   }
   tenant->delta_points.store(delta_points, std::memory_order_release);
   tenant->tombstones.store(tombstones, std::memory_order_release);

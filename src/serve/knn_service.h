@@ -28,7 +28,6 @@
 #include "gpusim/device.h"
 #include "serve/index_manager.h"
 #include "serve/scheduler.h"
-#include "serve/shard_backend.h"
 #include "simd/simd_kernels.h"
 #include "store/snapshot.h"
 
@@ -555,16 +554,6 @@ class KnnService {
   const ServiceConfig& config() const { return config_; }
 
  private:
-  /// No active compaction on this shard.
-  static constexpr size_t kNoCompaction = ShardHost::kNoCompaction;
-
-  /// The per-shard state lives in the transport-free ShardHost
-  /// (serve/shard_backend.h) so the in-process backend here and the
-  /// shard-worker processes (serve/shard_worker.h) host the identical
-  /// object — queries answered locally and over a socket run the same
-  /// code against the same state.
-  using Shard = ShardHost;
-
   struct Request {
     /// The index this request targets; pinned so a concurrent DropIndex
     /// can never pull the shards out from under a queued request.
@@ -711,12 +700,9 @@ class KnnService {
   /// Capture -> rebuild (off-lock) -> install for one shard. See
   /// docs/mutability.md for the protocol.
   Status CompactShardInternal(TenantIndex* tenant, int s);
-  /// Overlay fraction check for one shard. Caller holds the tenant's
-  /// index mutex.
-  bool OverThreshold(const Shard& shard) const;
   /// Wakes the compactor if `shard` warrants it. Caller holds the
   /// owning tenant's index mutex.
-  void MaybeScheduleCompaction(const Shard& shard);
+  void MaybeScheduleCompaction(const SweetKnnIndex& shard);
   /// Shard of `tenant` owning stable id `id`, or -1. Caller holds the
   /// tenant's index mutex.
   int OwningShard(const TenantIndex& tenant, uint32_t id) const;
@@ -746,20 +732,14 @@ class KnnService {
   /// install. Epochs are assigned at install time (under the tenant's
   /// index mutex).
   struct ShardSet {
-    std::vector<std::unique_ptr<Shard>> shards;
-    std::vector<uint32_t> offsets;
+    std::vector<std::unique_ptr<SweetKnnIndex>> shards;
     size_t live_rows = 0;
     uint32_t next_id = 0;
   };
-  /// Materializes shards from validated snapshots (RestoreTarget in
-  /// parallel on the host pool). Touches nothing of the live service.
+  /// Materializes shards from validated snapshots (restored in parallel
+  /// on the host pool). Touches nothing of the live service.
   ShardSet BuildShardsFromSnapshots(
       std::vector<store::IndexSnapshot> snapshots) const;
-
-  /// Exports one shard of `tenant`, normalizing the overlay (delta
-  /// entries tombstoned mid-compaction are dropped outright). Caller
-  /// holds the tenant's index mutex.
-  store::IndexSnapshot ExportShard(const TenantIndex& tenant, int s) const;
 
   Status SaveTenantSnapshots(TenantIndex* tenant, const std::string& dir);
   Status SwapIndexInternal(TenantIndex* tenant, const std::string& dir);
@@ -792,7 +772,8 @@ class KnnService {
   /// never pays a map lookup.
   std::shared_ptr<TenantIndex> default_tenant_;
 
-  /// Source of shard epochs (see Shard::epoch), shared by every tenant.
+  /// Source of shard epochs (TenantIndex::shard_epochs), shared by every
+  /// tenant.
   std::atomic<uint64_t> epoch_counter_{0};
   /// Bumped by every completed SwapIndex; surfaced as a gauge.
   std::atomic<uint64_t> index_generation_{0};

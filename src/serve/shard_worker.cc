@@ -12,6 +12,7 @@
 #include "common/logging.h"
 #include "net/socket.h"
 #include "net/wire.h"
+#include "serve/index_manager.h"
 #include "store/snapshot.h"
 
 namespace sweetknn::serve {
@@ -144,20 +145,7 @@ net::Frame ShardWorker::Dispatch(const net::Frame& request, bool* shutdown) {
   }
 }
 
-void ShardWorker::AdoptConfig(const core::TiOptions& options,
-                              const gpusim::DeviceSpec& device,
-                              const core::PlannerConfig& planner,
-                              bool enable_ann,
-                              const ann::GraphBuildParams& ann_params) {
-  options_ = options;
-  device_ = device;
-  if (!planner_) planner_ = std::make_unique<core::RoutePlanner>(planner);
-  enable_ann_ = enable_ann;
-  ann_params_ = ann_params;
-  configured_ = true;
-}
-
-ShardHost* ShardWorker::FindShard(uint32_t shard_index) {
+SweetKnnIndex* ShardWorker::FindShard(uint32_t shard_index) {
   const auto it = shards_.find(shard_index);
   return it == shards_.end() ? nullptr : it->second.get();
 }
@@ -179,20 +167,16 @@ Status ShardWorker::HandlePrepareCold(const std::string& payload) {
                                    tenant_ + "'");
   }
   tenant_ = req.tenant;
-  AdoptConfig(req.options, req.device, req.planner, req.enable_ann,
-              req.ann_params);
-  // The shard engines are pinned to one execution thread, exactly like
-  // KnnService's (the engine is bit-identical at any worker count; the
-  // fan-out across workers is the parallel axis here).
-  core::TiOptions shard_options = options_;
-  shard_options.sim_threads = 1;
-  auto shard = std::make_unique<ShardHost>(device_, shard_options);
-  shard->ConfigureAnn(enable_ann_, ann_params_, options_.sim_threads);
-  shard->offset = static_cast<uint32_t>(req.offset);
-  shard->epoch = ++epoch_counter_;
-  shard->BuildCold(req.slice);
+  // The planner comes from the first prepare only, so its decision
+  // counter spans the worker's lifetime like KnnService's.
+  if (!planner_) planner_ = std::make_unique<core::RoutePlanner>(req.planner);
+  // Same shard config as KnnService's in-process shards.
+  shards_[req.shard_index] = std::make_unique<SweetKnnIndex>(
+      req.slice,
+      ShardIndexConfig(req.options, req.device, req.enable_ann,
+                       req.ann_params),
+      static_cast<uint32_t>(req.offset));
   dims_ = req.slice.cols();
-  shards_[req.shard_index] = std::move(shard);
   return Status::Ok();
 }
 
@@ -207,17 +191,10 @@ Status ShardWorker::HandlePrepareSnapshot(const std::string& payload) {
         req.path + " records shard " + std::to_string(snap.shard_index) +
         ", expected " + std::to_string(req.shard_index));
   }
-  if (snap.options_fingerprint != store::OptionsFingerprint(req.options)) {
+  const size_t dims = snap.target.cols();
+  if (dims_ != 0 && dims != dims_) {
     return Status::InvalidArgument(
-        req.path + " was built under different options");
-  }
-  if (snap.device_fingerprint != store::DeviceFingerprint(req.device)) {
-    return Status::InvalidArgument(
-        req.path + " was built for a different device");
-  }
-  if (dims_ != 0 && snap.target.cols() != dims_) {
-    return Status::InvalidArgument(
-        req.path + " holds " + std::to_string(snap.target.cols()) +
+        req.path + " holds " + std::to_string(dims) +
         "-dimensional points, this worker serves " + std::to_string(dims_));
   }
   if (!shards_.empty() && req.tenant != tenant_) {
@@ -225,18 +202,18 @@ Status ShardWorker::HandlePrepareSnapshot(const std::string& payload) {
         "PrepareSnapshot: shard belongs to index '" + req.tenant +
         "', this worker hosts '" + tenant_ + "'");
   }
+  // Restore checks the options and device fingerprints against the
+  // request's config before anything is adopted.
+  Result<std::unique_ptr<SweetKnnIndex>> shard = SweetKnnIndex::Restore(
+      std::move(loaded).value(),
+      ShardIndexConfig(req.options, req.device, req.enable_ann,
+                       req.ann_params),
+      req.path);
+  SK_RETURN_IF_ERROR(shard.status());
   tenant_ = req.tenant;
-  AdoptConfig(req.options, req.device, req.planner, req.enable_ann,
-              req.ann_params);
-  core::TiOptions shard_options = options_;
-  shard_options.sim_threads = 1;
-  auto shard = std::make_unique<ShardHost>(device_, shard_options);
-  shard->ConfigureAnn(enable_ann_, ann_params_, options_.sim_threads);
-  shard->AdoptOverlay(snap);
-  shard->RestoreBase(snap.target, snap.clustering);
-  shard->epoch = ++epoch_counter_;
-  dims_ = snap.target.cols();
-  shards_[req.shard_index] = std::move(shard);
+  if (!planner_) planner_ = std::make_unique<core::RoutePlanner>(req.planner);
+  dims_ = dims;
+  shards_[req.shard_index] = std::move(shard).value();
   return Status::Ok();
 }
 
@@ -264,19 +241,20 @@ Status ShardWorker::HandleQuery(const std::string& payload,
   out.shard_indices = req.shard_indices;
   out.answers.reserve(req.shard_indices.size());
   for (const uint32_t index : req.shard_indices) {
-    ShardHost* shard = FindShard(index);
+    SweetKnnIndex* shard = FindShard(index);
     if (shard == nullptr) {
       return Status::NotFound("Query: shard " + std::to_string(index) +
                               " is not hosted by this worker");
     }
-    // Per-shard routing, same decision inputs as KnnService's planner
-    // pass. Both routes answer bit-identically, so the cluster's answers
+    // Per-shard routing through the worker's own planner. Its inputs
+    // differ from KnnService's in one respect: the worker never feeds
+    // ObserveDeviceRun, so its selectivity estimate stays at the prior.
+    // Both routes answer bit-identically, so the cluster's answers
     // cannot depend on which side of the cost model a shard lands on.
     const core::QueryRoute route = planner_->Choose(
         req.queries.rows(), shard->base_rows(), dims_);
-    out.answers.push_back(shard->SearchGroup(req.queries,
-                                             static_cast<int>(req.k), route,
-                                             options_.metric, req.mode));
+    out.answers.push_back(shard->Answer(
+        req.queries, static_cast<int>(req.k), route, req.mode));
   }
   queries_served_ += req.queries.rows();
   reply->type = static_cast<uint32_t>(net::MsgType::kQueryReply);
@@ -287,7 +265,7 @@ Status ShardWorker::HandleQuery(const std::string& payload,
 Status ShardWorker::HandleInsert(const std::string& payload) {
   net::InsertRequest req;
   SK_RETURN_IF_ERROR(net::DecodeInsert(payload, &req));
-  ShardHost* shard = FindShard(req.shard_index);
+  SweetKnnIndex* shard = FindShard(req.shard_index);
   if (shard == nullptr) {
     return Status::NotFound("Insert: shard " +
                             std::to_string(req.shard_index) +
@@ -298,18 +276,12 @@ Status ShardWorker::HandleInsert(const std::string& payload) {
         "Insert: point has " + std::to_string(req.point.size()) +
         " dims, this worker serves " + std::to_string(dims_));
   }
-  // The router allocates ids strictly upward; a violation here means a
+  // The router allocates ids strictly upward; a rejected id means a
   // router bug or a replayed frame, not a crash-worthy invariant.
-  if (!shard->delta.ids.empty() && req.id <= shard->delta.ids.back()) {
-    return Status::InvalidArgument(
-        "Insert: id " + std::to_string(req.id) +
-        " does not exceed the shard's delta ids");
+  const Status inserted = shard->Insert(req.id, req.point.data());
+  if (!inserted.ok()) {
+    return Status::InvalidArgument("Insert: " + inserted.message());
   }
-  if (shard->Owns(req.id)) {
-    return Status::InvalidArgument("Insert: id " + std::to_string(req.id) +
-                                   " already lives in this shard");
-  }
-  shard->delta.Append(req.id, req.point.data());
   return Status::Ok();
 }
 
@@ -317,14 +289,14 @@ Status ShardWorker::HandleRemove(const std::string& payload,
                                  net::Frame* reply) {
   net::RemoveRequest req;
   SK_RETURN_IF_ERROR(net::DecodeRemove(payload, &req));
-  ShardHost* shard = FindShard(req.shard_index);
+  SweetKnnIndex* shard = FindShard(req.shard_index);
   if (shard == nullptr) {
     return Status::NotFound("Remove: shard " +
                             std::to_string(req.shard_index) +
                             " is not hosted by this worker");
   }
   net::RemoveReply out;
-  out.found = shard->ApplyRemove(req.id);
+  out.found = shard->Remove(req.id);
   reply->type = static_cast<uint32_t>(net::MsgType::kRemoveReply);
   reply->payload = net::EncodeRemoveReply(out);
   return Status::Ok();
@@ -333,44 +305,32 @@ Status ShardWorker::HandleRemove(const std::string& payload,
 Status ShardWorker::HandleCompact(const std::string& payload) {
   net::CompactRequest req;
   SK_RETURN_IF_ERROR(net::DecodeCompact(payload, &req));
-  ShardHost* shard = FindShard(req.shard_index);
+  SweetKnnIndex* shard = FindShard(req.shard_index);
   if (shard == nullptr) {
     return Status::NotFound("Compact: shard " +
                             std::to_string(req.shard_index) +
                             " is not hosted by this worker");
   }
-  // Same pre-checks as KnnService::CompactShardInternal. The worker is
-  // single-threaded, so the capture/rebuild/install protocol runs
-  // synchronously with nothing to race: the carried-forward overlay is
-  // necessarily empty, but running the identical steps keeps the state
-  // byte-identical to the in-process compactor's.
-  if (shard->Pristine() || shard->live_rows() == 0) return Status::Ok();
-  CompactionPlan plan;
-  CaptureCompaction(shard, static_cast<int>(req.shard_index), &plan);
-  core::TiOptions shard_options = options_;
-  shard_options.sim_threads = 1;
-  std::unique_ptr<ShardHost> fresh = RebuildCompacted(
-      plan, device_, shard_options, dims_, enable_ann_, ann_params_);
-  CarryOverlayForward(*shard, plan, fresh.get());
-  fresh->epoch = ++epoch_counter_;
-  shards_[req.shard_index] = std::move(fresh);
+  // The worker is single-threaded, so the capture/rebuild/install steps
+  // run back to back with nothing to race — the same steps, on the same
+  // state, as KnnService's background compactor.
+  shard->Compact();
   return Status::Ok();
 }
 
 Status ShardWorker::HandleSaveShard(const std::string& payload) {
   net::SaveShardRequest req;
   SK_RETURN_IF_ERROR(net::DecodeSaveShard(payload, &req));
-  ShardHost* shard = FindShard(req.shard_index);
+  SweetKnnIndex* shard = FindShard(req.shard_index);
   if (shard == nullptr) {
     return Status::NotFound("SaveShard: shard " +
                             std::to_string(req.shard_index) +
                             " is not hosted by this worker");
   }
-  const store::IndexSnapshot snap = shard->Export(
-      req.dataset_name, "ShardWorker::SaveShard", req.shard_index,
-      req.shard_count, store::OptionsFingerprint(options_),
-      store::DeviceFingerprint(device_), req.next_id);
-  return store::SaveIndexSnapshot(snap, req.path);
+  return store::SaveIndexSnapshot(
+      shard->ExportSnapshot(req.dataset_name, "ShardWorker::SaveShard",
+                            req.shard_index, req.shard_count, req.next_id),
+      req.path);
 }
 
 Status ShardWorker::HandleJobSubmit(const std::string& payload) {
@@ -425,7 +385,7 @@ void ShardWorker::AdvanceJob() {
   std::vector<core::RangeShardAnswer> range_answers;
   std::vector<core::ShardAnswer> knn_answers;
   for (const uint32_t index : job.spec.shard_indices) {
-    ShardHost* shard = FindShard(index);
+    SweetKnnIndex* shard = FindShard(index);
     if (shard == nullptr) {  // cannot happen in the single-threaded loop
       job.failed = true;
       job.error = "shard " + std::to_string(index) + " disappeared mid-job";
@@ -435,10 +395,10 @@ void ShardWorker::AdvanceJob() {
         planner_->Choose(chunk.rows(), shard->base_rows(), dims_);
     if (job.spec.kind == net::WireJobKind::kRange) {
       range_answers.push_back(
-          shard->RangeGroup(chunk, job.spec.radius, route, options_.metric));
+          shard->RangeAnswer(chunk, job.spec.radius, route));
     } else {
-      knn_answers.push_back(shard->SearchGroup(
-          chunk, static_cast<int>(job.spec.k), route, options_.metric));
+      knn_answers.push_back(
+          shard->Answer(chunk, static_cast<int>(job.spec.k), route));
     }
   }
   if (job.spec.kind == net::WireJobKind::kRange) {
@@ -535,7 +495,7 @@ Status ShardWorker::HandleExportLive(const std::string& payload,
   std::vector<HostMatrix> points(req.shard_indices.size());
   size_t total = 0;
   for (size_t s = 0; s < req.shard_indices.size(); ++s) {
-    ShardHost* shard = FindShard(req.shard_indices[s]);
+    SweetKnnIndex* shard = FindShard(req.shard_indices[s]);
     if (shard == nullptr) {
       return Status::NotFound("ExportLive: shard " +
                               std::to_string(req.shard_indices[s]) +
@@ -567,9 +527,9 @@ net::Frame ShardWorker::HandleHealth() const {
     net::HealthReply::ShardHealth health;
     health.index = index;
     health.base_rows = shard->base_rows();
-    health.delta_points = shard->delta.size();
-    health.tombstones = shard->delta.tombstones.size();
-    health.live_rows = shard->live_rows();
+    health.delta_points = shard->delta_size();
+    health.tombstones = shard->tombstone_count();
+    health.live_rows = shard->size();
     out.shards.push_back(health);
   }
   net::Frame reply;

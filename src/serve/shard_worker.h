@@ -9,21 +9,20 @@
 #include "common/knn_result.h"
 #include "common/range_result.h"
 #include "common/status.h"
-#include "core/options.h"
 #include "core/route_planner.h"
-#include "gpusim/device_spec.h"
+#include "core/sweet_knn.h"
 #include "net/frame.h"
 #include "net/wire.h"
-#include "serve/shard_backend.h"
 
 namespace sweetknn::serve {
 
-/// One worker process of the shard cluster: hosts a set of ShardHosts
-/// (serve/shard_backend.h) and serves the router's framed RPCs over a
-/// unix socket (net/wire.h, docs/distributed.md). The worker is the
-/// remote counterpart of KnnService's in-process fan-out — both backends
-/// run the identical ShardHost code against identical state, which is
-/// what makes cluster answers bit-identical to local ones.
+/// One worker process of the shard cluster: hosts a set of shard
+/// indexes (SweetKnnIndex, core/sweet_knn.h, one per target slice) and
+/// serves the router's framed RPCs over a unix socket (net/wire.h,
+/// docs/distributed.md). The worker is the remote counterpart of
+/// KnnService's in-process fan-out — both backends run the identical
+/// SweetKnnIndex code against identical state, which is what makes
+/// cluster answers bit-identical to local ones.
 ///
 /// Thread model: strictly single-threaded. One connection (the router),
 /// one request in flight at a time, replies in request order. The router
@@ -74,17 +73,8 @@ class ShardWorker {
   Status HandleJobResult(const std::string& payload, net::Frame* reply);
   Status HandleExportLive(const std::string& payload, net::Frame* reply);
 
-  /// Adopts the config blocks that ride in every prepare (options,
-  /// device, planner — the planner only on the first prepare, so its
-  /// decision counter spans the worker's lifetime like KnnService's —
-  /// and the ANN tier config, needed again at compaction installs).
-  void AdoptConfig(const core::TiOptions& options,
-                   const gpusim::DeviceSpec& device,
-                   const core::PlannerConfig& planner, bool enable_ann,
-                   const ann::GraphBuildParams& ann_params);
-
   /// The shard named by a request, or nullptr (callers answer NotFound).
-  ShardHost* FindShard(uint32_t shard_index);
+  SweetKnnIndex* FindShard(uint32_t shard_index);
 
   /// The worker's single active job: the submit request plus the
   /// accumulated stable-id answer (range rows or knn rows, merged over
@@ -104,14 +94,9 @@ class ShardWorker {
 
   std::string socket_path_;
 
-  /// Service configuration, adopted from the prepare RPCs.
-  core::TiOptions options_;
-  gpusim::DeviceSpec device_;
+  /// Routes every shard's base scan; built from the first prepare RPC
+  /// (each shard index keeps its own device, engine and ANN config).
   std::unique_ptr<core::RoutePlanner> planner_;
-  bool configured_ = false;
-  /// ANN tier config (docs/approx.md), adopted from the prepare RPCs.
-  bool enable_ann_ = false;
-  ann::GraphBuildParams ann_params_;
   /// The named index this worker's shards belong to, adopted from the
   /// first prepare. Every later prepare must name the same tenant, and
   /// queries naming a different one are rejected — the cluster serves
@@ -121,10 +106,8 @@ class ShardWorker {
 
   /// Hosted shards by global shard index (primaries and replicas look
   /// identical here; the role lives in the router's placement tables).
-  std::map<uint32_t, std::unique_ptr<ShardHost>> shards_;
+  std::map<uint32_t, std::unique_ptr<SweetKnnIndex>> shards_;
   size_t dims_ = 0;
-  /// Source of shard epochs (ShardHost::epoch), worker-local.
-  uint64_t epoch_counter_ = 0;
   uint64_t queries_served_ = 0;
   /// Active job, nullptr when idle (at most one per worker).
   std::unique_ptr<WorkerJob> job_;

@@ -4,8 +4,8 @@
 // target and the same seeded query/mutation sequence — across worker
 // counts, with and without replicas, and before/during/after a worker
 // is SIGKILLed mid-stream (replica failover). Both backends host the
-// identical ShardHost code (serve/shard_backend.h), so any divergence
-// is a transport, placement, or failover bug.
+// identical per-shard code (one SweetKnnIndex per slice), so any
+// divergence is a transport, placement, or failover bug.
 //
 // On a mismatch each sequence prints a one-line repro extending the
 // mutation-fuzz format (tests/integration/mutation_fuzz_test.cc) with

@@ -4,14 +4,17 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "baseline/brute_force_cpu.h"
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "core/sweet_knn.h"
 #include "gtest/gtest.h"
+#include "serve/knn_service.h"
 
 namespace sweetknn::store {
 namespace {
@@ -494,6 +497,102 @@ TEST(ShardDirectoryTest, IncompleteOrInconsistentSetsRejected) {
   WriteFile(ShardSnapshotPath(dir, 0, 2), "x");  // mixed shard counts
   EXPECT_FALSE(ListShardSnapshots(dir).ok());
   std::filesystem::remove_all(dir);
+}
+
+/// Brute-force top-k over `points`, reported as `ids` (ascending, so
+/// index order and id order agree on ties).
+KnnResult OracleWithIds(const HostMatrix& queries, const HostMatrix& points,
+                        const std::vector<uint32_t>& ids, int k) {
+  KnnResult expected =
+      baseline::BruteForceCpu(queries, points, k, core::Metric::kEuclidean);
+  for (size_t q = 0; q < expected.num_queries(); ++q) {
+    Neighbor* row = expected.mutable_row(q);
+    for (int i = 0; i < k; ++i) {
+      if (row[i].index != kInvalidNeighbor) row[i].index = ids[row[i].index];
+    }
+  }
+  return expected;
+}
+
+bool SameAnswers(const KnnResult& a, const KnnResult& b) {
+  if (a.num_queries() != b.num_queries() || a.k() != b.k()) return false;
+  for (size_t q = 0; q < a.num_queries(); ++q) {
+    for (int i = 0; i < a.k(); ++i) {
+      if (a.row(q)[i].index != b.row(q)[i].index ||
+          std::memcmp(&a.row(q)[i].distance, &b.row(q)[i].distance,
+                      sizeof(float)) != 0) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// A shard file of a serving set loads standalone as its slice: stable ids
+// keep the shard's offset, answers match the oracle over the slice's live
+// points, and a Save/Load round trip keeps them.
+TEST(ShardDirectoryTest, StandaloneLoadOfOffsetShardKeepsStableIds) {
+  const HostMatrix target = RandomMatrix(90, 4, 23);
+  const HostMatrix queries = RandomMatrix(9, 4, 24);
+  const int k = 7;
+  serve::ServiceConfig config;
+  config.num_shards = 2;
+  config.auto_compact = false;
+  serve::KnnService service(target, config);
+
+  // Shard 1 holds rows 45..89; inserts land on shard id % 2.
+  std::map<uint32_t, std::vector<float>> shard1;
+  for (uint32_t id = 45; id < 90; ++id) {
+    shard1[id] = std::vector<float>(target.row(id), target.row(id) + 4);
+  }
+  for (const bool mutated : {false, true}) {
+    if (mutated) {
+      const HostMatrix inserts = RandomMatrix(6, 4, 25);
+      Result<std::vector<uint32_t>> ids = service.InsertBatch(inserts);
+      ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+      for (size_t r = 0; r < ids.value().size(); ++r) {
+        const uint32_t id = ids.value()[r];
+        if (id % 2 == 1) {
+          shard1[id] =
+              std::vector<float>(inserts.row(r), inserts.row(r) + 4);
+        }
+      }
+      for (const uint32_t id : {10u, 50u, 60u, 93u}) {
+        ASSERT_TRUE(service.Remove(id).value()) << id;
+        shard1.erase(id);
+      }
+    }
+    const std::string dir =
+        TempPath(mutated ? "offset_shard_mutated" : "offset_shard_pristine");
+    std::filesystem::remove_all(dir);
+    ASSERT_TRUE(service.SaveSnapshots(dir).ok());
+
+    HostMatrix points(shard1.size(), 4);
+    std::vector<uint32_t> ids;
+    for (const auto& [id, coords] : shard1) {
+      std::memcpy(points.mutable_row(ids.size()), coords.data(),
+                  4 * sizeof(float));
+      ids.push_back(id);
+    }
+    const KnnResult want = OracleWithIds(queries, points, ids, k);
+
+    Result<std::unique_ptr<SweetKnnIndex>> loaded =
+        SweetKnnIndex::Load(ShardSnapshotPath(dir, 1, 2));
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded.value()->pristine(), !mutated);
+    EXPECT_EQ(loaded.value()->LiveIds(), ids);
+    EXPECT_TRUE(SameAnswers(loaded.value()->Query(queries, k), want));
+
+    const std::string resaved = TempPath("offset_shard_resaved.sksnap");
+    ASSERT_TRUE(loaded.value()->Save(resaved).ok());
+    Result<std::unique_ptr<SweetKnnIndex>> reloaded =
+        SweetKnnIndex::Load(resaved);
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+    EXPECT_EQ(reloaded.value()->LiveIds(), ids);
+    EXPECT_TRUE(SameAnswers(reloaded.value()->Query(queries, k), want));
+    std::remove(resaved.c_str());
+    std::filesystem::remove_all(dir);
+  }
 }
 
 }  // namespace

@@ -12,9 +12,10 @@
 # compaction_race_test races mutations, forced compactions, and hot
 # swaps against live clients; route_planner_test flips the hybrid
 # planner's mode and feeds its selectivity EMA from many threads while
-# Choose() races the lock-free route counters; shard_backend_test covers
-# the transport-free shard dispatch/merge core both serving backends
-# share; router_timeout_test drives the cluster router's channel IO
+# Choose() races the lock-free route counters; shard_index_test covers
+# the index as a serving shard (answers, merge, and every state between
+# a compaction's capture and its install) that both serving backends
+# run; router_timeout_test drives the cluster router's channel IO
 # threads, reply queues, and worker-death path (it spawns shard-worker
 # processes through the CLI binary); scheduler_test hammers the
 # deficit-round-robin admission scheduler's pops against concurrent
@@ -54,7 +55,7 @@ TESTS=(
   shutdown_storm_test
   swap_staleness_test
   compaction_race_test
-  shard_backend_test
+  shard_index_test
   router_timeout_test
   scheduler_test
   multitenant_test
