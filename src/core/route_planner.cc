@@ -22,67 +22,13 @@ RoutePlanner::RoutePlanner(const PlannerConfig& config)
     : config_(config),
       mode_(static_cast<int>(ModeFromEnv(config.mode))) {}
 
-double RoutePlanner::HostCost(size_t num_queries, size_t target_rows,
-                              size_t dims) const {
-  const double pairs_dims = static_cast<double>(num_queries) *
-                            static_cast<double>(target_rows) *
-                            static_cast<double>(dims);
-  return config_.host_fixed_s + pairs_dims * config_.host_per_pair_dim_s;
-}
-
-double RoutePlanner::DeviceCost(size_t num_queries, size_t target_rows,
-                                size_t dims) const {
-  const double pairs_dims = static_cast<double>(num_queries) *
-                            static_cast<double>(target_rows) *
-                            static_cast<double>(dims);
-  return config_.device_fixed_s +
-         static_cast<double>(num_queries) * config_.device_per_query_s +
-         pairs_dims * config_.device_per_pair_dim_s * PredictedSelectivity();
-}
-
-QueryRoute RoutePlanner::Choose(size_t num_queries, size_t target_rows,
-                                size_t dims) {
-  const uint64_t decision =
-      decisions_.fetch_add(1, std::memory_order_relaxed);
-  QueryRoute route;
-  switch (mode()) {
-    case PlannerMode::kForceDevice:
-      route = QueryRoute::kDevice;
-      break;
-    case PlannerMode::kForceHost:
-      route = QueryRoute::kHost;
-      break;
-    case PlannerMode::kAuto:
-    default:
-      // Deterministic exploration keeps the selectivity EMA fed even
-      // when the cost model has settled on the host path; starting with
-      // decision 0 seeds the estimate with a real observation.
-      if (config_.explore_interval > 0 &&
-          decision % static_cast<uint64_t>(config_.explore_interval) == 0) {
-        route = QueryRoute::kDevice;
-      } else {
-        route = DeviceCost(num_queries, target_rows, dims) <
-                        HostCost(num_queries, target_rows, dims)
-                    ? QueryRoute::kDevice
-                    : QueryRoute::kHost;
-      }
-      break;
-  }
+QueryRoute RoutePlanner::Choose() {
+  const QueryRoute route = mode() == PlannerMode::kForceDevice
+                               ? QueryRoute::kDevice
+                               : QueryRoute::kHost;
   (route == QueryRoute::kDevice ? device_routes_ : host_routes_)
       .fetch_add(1, std::memory_order_relaxed);
   return route;
-}
-
-void RoutePlanner::ObserveDeviceRun(const KnnRunStats& stats) {
-  if (stats.total_pairs == 0) return;
-  const double observed = 1.0 - stats.SavedFraction();
-  const double alpha = config_.selectivity_alpha;
-  // Racy read-modify-write by design: concurrent observers may drop an
-  // update, but the EMA only steers a latency heuristic and the atomics
-  // keep every access data-race-free.
-  const double old = selectivity_.load(std::memory_order_relaxed);
-  selectivity_.store(alpha * observed + (1.0 - alpha) * old,
-                     std::memory_order_relaxed);
 }
 
 }  // namespace sweetknn::core

@@ -126,17 +126,15 @@ KnnResult SweetKnnIndex::Query(const HostMatrix& queries, int k,
                                core::KnnRunStats* stats,
                                ann::AnnSearchStats* ann_stats) {
   SK_CHECK_EQ(queries.cols(), dims_);
-  // Route the exact base scan by cost. Both routes return bit-identical
+  // Route the exact base scan. Both routes return bit-identical
   // neighbor lists (the host path runs the same canonical float pipeline
   // the engine is fuzz-proven against), so only wall-clock and the stats
   // differ. Graph-answered modes take no route.
   const core::QueryRoute route =
-      UsesAnn(mode) ? core::QueryRoute::kHost
-                    : planner_.Choose(queries.rows(), base_rows_, dims_);
+      UsesAnn(mode) ? core::QueryRoute::kHost : planner_.Choose();
   core::KnnRunStats run_stats;
   core::ShardAnswer answer =
       Answer(queries, k, route, mode, &run_stats, ann_stats);
-  if (answer.device_routed) planner_.ObserveDeviceRun(run_stats);
   if (stats != nullptr) *stats = std::move(run_stats);
   if (answer.pristine && offset_ != 0) {
     for (size_t q = 0; q < answer.result.num_queries(); ++q) {
@@ -251,8 +249,7 @@ RangeResult SweetKnnIndex::RadiusSearch(const HostMatrix& queries,
                                         core::RangeScanStats* stats) {
   // An empty base has no scan to route.
   const core::QueryRoute route =
-      base_rows_ > 0 ? planner_.Choose(queries.rows(), base_rows_, dims_)
-                     : core::QueryRoute::kHost;
+      base_rows_ > 0 ? planner_.Choose() : core::QueryRoute::kHost;
   core::RangeShardAnswer answer = RangeAnswer(queries, radius, route);
   if (stats != nullptr) *stats = answer.stats;
   return std::move(answer.result);

@@ -45,12 +45,12 @@ class SweetKnn {
     /// tombstones) exceeds this fraction of the base rows. <= 0 disables
     /// auto-compaction (Compact() stays available).
     double compact_delta_fraction = 0.25;
-    /// SweetKnnIndex only: cost-based routing of each query batch
-    /// between the simulated-GPU TI engine and the vectorized host
-    /// kernels (docs/performance.md). Both routes answer bit-
-    /// identically; force-device restores pre-planner behavior (and is
-    /// what stats-asserting callers should pin, since host-routed
-    /// batches report no simulated-device stats).
+    /// SweetKnnIndex only: the route of each query batch (docs/
+    /// performance.md). The default answers on the vectorized host
+    /// kernels; force-device runs the simulated-GPU TI engine (pre-
+    /// planner behavior) and is what stats-asserting callers should
+    /// pin, since host-routed batches report no simulated-device stats.
+    /// Both routes answer bit-identically.
     core::PlannerConfig planner;
     /// SweetKnnIndex only: build the approximate kNN-graph tier over the
     /// frozen base (and rebuild it at every compaction), enabling
@@ -167,7 +167,7 @@ class SweetKnnIndex {
 
   /// Answers one same-k query group on a caller-chosen route, as the
   /// contribution core::MergeShardAnswers pools: Query is the planner's
-  /// choice, then this, then the planner's observation of the run.
+  /// choice, then this.
   ///
   /// A pristine index runs its base at k and reports local indices
   /// (pristine answer: stable id = index + offset at merge time). A

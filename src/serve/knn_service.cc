@@ -1493,16 +1493,13 @@ void KnnService::RunGroup(std::vector<RequestPtr> group) {
   std::lock_guard<std::mutex> index_lock(tenant->mutex);
   const int num_shards = static_cast<int>(tenant->shards.size());
 
-  // Route each shard's base scan by cost, serially before the fan-out so
-  // the decision order is deterministic. Both routes return bit-identical
-  // per-shard lists (the host path runs the same canonical float pipeline
-  // the engine is fuzz-proven against), so the merged answer cannot
-  // depend on the route; host-routed shards report no device stats.
+  // Route each shard's base scan; one decision per shard fragment. Both
+  // routes return bit-identical per-shard lists (the host path runs the
+  // same canonical float pipeline the engine is fuzz-proven against), so
+  // the merged answer cannot depend on the route; host-routed shards
+  // report no device stats.
   std::vector<core::QueryRoute> routes(static_cast<size_t>(num_shards));
-  for (int s = 0; s < num_shards; ++s) {
-    routes[static_cast<size_t>(s)] = planner_.Choose(
-        rows, tenant->shards[static_cast<size_t>(s)]->base_rows(), dims);
-  }
+  for (core::QueryRoute& route : routes) route = planner_.Choose();
   // The per-shard work — base scan (over-queried when mutated), delta
   // side scan, shard-local merge — lives in SweetKnnIndex::Answer, the
   // one code path the remote shard workers run too; the fan-out here is
@@ -1523,12 +1520,6 @@ void KnnService::RunGroup(std::vector<RequestPtr> group) {
     if (answer.device_routed) {
       m_planner_device_routes_->Increment();
       m_route_device_seconds_->Observe(answer.route_seconds);
-      // The planner's selectivity EMA needs exactly the work counters
-      // the answer carries.
-      core::KnnRunStats observed;
-      observed.distance_calcs = answer.distance_calcs;
-      observed.total_pairs = answer.total_pairs;
-      planner_.ObserveDeviceRun(observed);
     } else {
       m_planner_host_routes_->Increment();
       m_route_host_seconds_->Observe(answer.route_seconds);
@@ -1623,14 +1614,9 @@ void KnnService::RunRangeGroup(std::vector<RequestPtr> group) {
   const int num_shards = static_cast<int>(tenant->shards.size());
 
   // The planner routes each shard's base scan exactly as it does for
-  // kNN groups — both routes are bit-identical — but range scans never
-  // feed the device-selectivity EMA (no simulated device runs for
-  // them), so no ObserveDeviceRun here.
+  // kNN groups; both routes are bit-identical.
   std::vector<core::QueryRoute> routes(static_cast<size_t>(num_shards));
-  for (int s = 0; s < num_shards; ++s) {
-    routes[static_cast<size_t>(s)] = planner_.Choose(
-        rows, tenant->shards[static_cast<size_t>(s)]->base_rows(), dims);
-  }
+  for (core::QueryRoute& route : routes) route = planner_.Choose();
   std::vector<core::RangeShardAnswer> answers(
       static_cast<size_t>(num_shards));
   const SteadyClock::time_point fanout_start = SteadyClock::now();

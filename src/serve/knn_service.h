@@ -85,13 +85,14 @@ struct ServiceConfig {
   /// explicit CompactShard/CompactAll calls (deterministic; tests use
   /// this).
   bool auto_compact = true;
-  /// Cost-based routing of each query group's per-shard base scan
-  /// between the shard's simulated-GPU TI engine and the vectorized
-  /// host kernels (docs/performance.md). Both routes answer bit-
-  /// identically; host-routed shard runs report no simulated-device
-  /// stats (sim-time counters, filter/placement decisions), so tests
-  /// asserting those pin mode = kForceDevice. SWEETKNN_PLANNER
-  /// ("auto" | "device" | "host") overrides the mode at construction.
+  /// The route of each query group's per-shard base scan (docs/
+  /// performance.md). The default answers on the vectorized host
+  /// kernels; kForceDevice runs the shard's simulated-GPU TI engine.
+  /// Both routes answer bit-identically; host-routed shard runs report
+  /// no simulated-device stats (sim-time counters, filter/placement
+  /// decisions), so tests asserting those pin mode = kForceDevice.
+  /// SWEETKNN_PLANNER ("auto" | "device" | "host") overrides the mode
+  /// at construction.
   core::PlannerConfig planner;
   /// Build the approximate kNN-graph tier on every shard (and rebuild it
   /// at each compaction install), enabling SearchMode::Approx requests

@@ -27,9 +27,10 @@ namespace sweetknn::serve {
 /// Knobs of the cluster front-end (docs/distributed.md).
 struct RouterConfig {
   /// The serving knobs shared with the in-process backend: num_shards,
-  /// micro-batching, options/device/planner, dataset_name. cache_capacity,
-  /// snapshot_dir, auto_compact and compact_delta_fraction are ignored
-  /// (the router has no result cache and compacts only explicitly).
+  /// micro-batching, options/device/planner mode, dataset_name.
+  /// cache_capacity, snapshot_dir, auto_compact and
+  /// compact_delta_fraction are ignored (the router has no result cache
+  /// and compacts only explicitly).
   ServiceConfig service;
   /// Worker processes. Clamped to [1, num_shards]; shard s's primary is
   /// worker s % num_workers.

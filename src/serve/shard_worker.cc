@@ -167,8 +167,8 @@ Status ShardWorker::HandlePrepareCold(const std::string& payload) {
                                    tenant_ + "'");
   }
   tenant_ = req.tenant;
-  // The planner comes from the first prepare only, so its decision
-  // counter spans the worker's lifetime like KnnService's.
+  // The planner comes from the first prepare only, so its route
+  // counters span the worker's lifetime like KnnService's.
   if (!planner_) planner_ = std::make_unique<core::RoutePlanner>(req.planner);
   // Same shard config as KnnService's in-process shards.
   shards_[req.shard_index] = std::make_unique<SweetKnnIndex>(
@@ -246,13 +246,10 @@ Status ShardWorker::HandleQuery(const std::string& payload,
       return Status::NotFound("Query: shard " + std::to_string(index) +
                               " is not hosted by this worker");
     }
-    // Per-shard routing through the worker's own planner. Its inputs
-    // differ from KnnService's in one respect: the worker never feeds
-    // ObserveDeviceRun, so its selectivity estimate stays at the prior.
-    // Both routes answer bit-identically, so the cluster's answers
-    // cannot depend on which side of the cost model a shard lands on.
-    const core::QueryRoute route = planner_->Choose(
-        req.queries.rows(), shard->base_rows(), dims_);
+    // Per-shard routing through the worker's own planner, as in
+    // KnnService. Both routes answer bit-identically, so the cluster's
+    // answers cannot depend on the route a shard takes.
+    const core::QueryRoute route = planner_->Choose();
     out.answers.push_back(shard->Answer(
         req.queries, static_cast<int>(req.k), route, req.mode));
   }
@@ -391,8 +388,7 @@ void ShardWorker::AdvanceJob() {
       job.error = "shard " + std::to_string(index) + " disappeared mid-job";
       return;
     }
-    const core::QueryRoute route =
-        planner_->Choose(chunk.rows(), shard->base_rows(), dims_);
+    const core::QueryRoute route = planner_->Choose();
     if (job.spec.kind == net::WireJobKind::kRange) {
       range_answers.push_back(
           shard->RangeAnswer(chunk, job.spec.radius, route));

@@ -94,8 +94,9 @@ class ShardWorker {
 
   std::string socket_path_;
 
-  /// Routes every shard's base scan; built from the first prepare RPC
-  /// (each shard index keeps its own device, engine and ANN config).
+  /// Routes every shard's base scan (the host kernels unless the
+  /// router's config forces the device); built from the first prepare
+  /// RPC (each shard index keeps its own device, engine and ANN config).
   std::unique_ptr<core::RoutePlanner> planner_;
   /// The named index this worker's shards belong to, adopted from the
   /// first prepare. Every later prepare must name the same tenant, and

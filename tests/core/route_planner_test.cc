@@ -1,15 +1,23 @@
 #include "core/route_planner.h"
 
+#include <unistd.h>
+
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/matrix.h"
 #include "core/sweet_knn.h"
 #include "gtest/gtest.h"
+#include "net/frame.h"
+#include "net/socket.h"
+#include "net/wire.h"
 #include "serve/knn_service.h"
+#include "serve/shard_worker.h"
 #include "test_util.h"
 
 namespace sweetknn {
@@ -36,21 +44,12 @@ void ExpectBitIdentical(const KnnResult& want, const KnnResult& got,
   }
 }
 
-core::KnnRunStats StatsWithSelectivity(double fraction_computed) {
-  core::KnnRunStats stats;
-  stats.total_pairs = 1'000'000;
-  stats.distance_calcs =
-      static_cast<uint64_t>(fraction_computed * 1'000'000);
-  return stats;
-}
-
 TEST(RoutePlannerTest, ForcedModesAlwaysRouteAndCount) {
   core::PlannerConfig config;
   config.mode = core::PlannerMode::kForceDevice;
   core::RoutePlanner device_planner(config);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(device_planner.Choose(8, 1000, 16),
-              core::QueryRoute::kDevice);
+    EXPECT_EQ(device_planner.Choose(), core::QueryRoute::kDevice);
   }
   EXPECT_EQ(device_planner.device_routes(), 10u);
   EXPECT_EQ(device_planner.host_routes(), 0u);
@@ -58,67 +57,22 @@ TEST(RoutePlannerTest, ForcedModesAlwaysRouteAndCount) {
   config.mode = core::PlannerMode::kForceHost;
   core::RoutePlanner host_planner(config);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(host_planner.Choose(8, 1000, 16), core::QueryRoute::kHost);
+    EXPECT_EQ(host_planner.Choose(), core::QueryRoute::kHost);
   }
   EXPECT_EQ(host_planner.device_routes(), 0u);
   EXPECT_EQ(host_planner.host_routes(), 10u);
 }
 
-TEST(RoutePlannerTest, ColdAutoExploresFirstThenPrefersHost) {
-  core::RoutePlanner planner;  // defaults: kAuto, explore_interval = 16
-  ASSERT_EQ(planner.mode(), core::PlannerMode::kAuto);
-  ASSERT_DOUBLE_EQ(planner.PredictedSelectivity(), 1.0);
-  // A cold planner is pessimistic about the TI filter, so for a
-  // moderate fragment the host path must model cheaper.
-  EXPECT_LT(planner.HostCost(8, 1000, 16), planner.DeviceCost(8, 1000, 16));
-
-  // Decision 0 explores on the device (this also seeds the selectivity
-  // estimate and keeps single-query sim-stats assertions meaningful);
-  // the next 15 follow the cost model onto the host; decision 16
-  // explores again.
-  EXPECT_EQ(planner.Choose(8, 1000, 16), core::QueryRoute::kDevice);
-  for (int i = 1; i < 16; ++i) {
-    EXPECT_EQ(planner.Choose(8, 1000, 16), core::QueryRoute::kHost)
-        << "decision " << i;
-  }
-  EXPECT_EQ(planner.Choose(8, 1000, 16), core::QueryRoute::kDevice);
-  EXPECT_EQ(planner.device_routes() + planner.host_routes(), 17u);
-}
-
-TEST(RoutePlannerTest, SelectivityEmaTracksObservations) {
+TEST(RoutePlannerTest, DefaultPlannerRoutesEveryDecisionToHost) {
   core::RoutePlanner planner;
-  const double alpha = planner.config().selectivity_alpha;
-  // An empty run (no pairs) must not disturb the estimate.
-  planner.ObserveDeviceRun(core::KnnRunStats{});
-  EXPECT_DOUBLE_EQ(planner.PredictedSelectivity(), 1.0);
-
-  planner.ObserveDeviceRun(StatsWithSelectivity(0.2));
-  EXPECT_DOUBLE_EQ(planner.PredictedSelectivity(),
-                   alpha * 0.2 + (1.0 - alpha) * 1.0);
-  planner.ObserveDeviceRun(StatsWithSelectivity(0.2));
-  EXPECT_NEAR(planner.PredictedSelectivity(),
-              alpha * 0.2 + (1.0 - alpha) * (alpha * 0.2 + (1.0 - alpha)),
-              1e-12);
-}
-
-TEST(RoutePlannerTest, LearnedSelectivityFlipsLargeFragmentsToDevice) {
-  core::PlannerConfig config;
-  config.explore_interval = 0;  // pure cost decisions
-  core::RoutePlanner planner(config);
-  // Cold (selectivity 1): even a huge fragment stays on the host.
-  EXPECT_EQ(planner.Choose(64, 1'000'000, 128), core::QueryRoute::kHost);
-  // A sharply selective filter (1% of pairs computed) makes the device's
-  // dominant term collapse; the same fragment now routes to the device.
-  for (int i = 0; i < 64; ++i) {
-    planner.ObserveDeviceRun(StatsWithSelectivity(0.01));
+  ASSERT_EQ(planner.mode(), core::PlannerMode::kAuto);
+  // The simulator's wall time prices no real GPU, so auto never sends a
+  // fragment to the device: not the first, not any later one.
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(planner.Choose(), core::QueryRoute::kHost) << "decision " << i;
   }
-  EXPECT_LT(planner.PredictedSelectivity(), 0.02);
-  EXPECT_LT(planner.DeviceCost(64, 1'000'000, 128),
-            planner.HostCost(64, 1'000'000, 128));
-  EXPECT_EQ(planner.Choose(64, 1'000'000, 128), core::QueryRoute::kDevice);
-  // Small fragments still prefer the host: the device's fixed cost
-  // dominates regardless of selectivity.
-  EXPECT_EQ(planner.Choose(1, 200, 4), core::QueryRoute::kHost);
+  EXPECT_EQ(planner.device_routes(), 0u);
+  EXPECT_EQ(planner.host_routes(), 1000u);
 }
 
 TEST(RoutePlannerTest, EnvVariableOverridesConfiguredMode) {
@@ -138,9 +92,8 @@ TEST(RoutePlannerTest, EnvVariableOverridesConfiguredMode) {
   ::unsetenv("SWEETKNN_PLANNER");
 }
 
-// TSan target (tools/check_tsan.sh): Choose, set_mode, and
-// ObserveDeviceRun race freely; every decision must land in exactly one
-// route counter.
+// TSan target (tools/check_tsan.sh): Choose and set_mode race freely;
+// every decision must land in exactly one route counter.
 TEST(RoutePlannerTest, ConcurrentChooseAndModeFlipsLoseNoDecisions) {
   core::RoutePlanner planner;
   constexpr int kThreads = 8;
@@ -161,13 +114,10 @@ TEST(RoutePlannerTest, ConcurrentChooseAndModeFlipsLoseNoDecisions) {
           case 2:
             planner.set_mode(core::PlannerMode::kAuto);
             break;
-          case 3:
-            planner.ObserveDeviceRun(StatsWithSelectivity(0.5));
-            break;
           default:
             break;
         }
-        planner.Choose(1 + rng() % 64, 1000, 16);
+        planner.Choose();
       }
     });
   }
@@ -215,6 +165,134 @@ TEST(RoutePlannerTest, IndexAnswersBitIdenticallyOnEveryRoute) {
                        "mutated host");
     ExpectBitIdentical(mutated, auto_index.Query(queries, 5),
                        "mutated auto");
+  }
+}
+
+TEST(RoutePlannerTest, DefaultIndexNeverTakesTheDeviceRoute) {
+  const HostMatrix target = ClusteredPoints(300, 6, 4, 519);
+  const HostMatrix queries = ClusteredPoints(32, 6, 3, 520);
+  SweetKnnIndex index(target);
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    index.Query(std::vector<float>(queries.row(q),
+                                   queries.row(q) + queries.cols()),
+                5);
+  }
+  EXPECT_EQ(index.planner().device_routes(), 0u);
+  EXPECT_EQ(index.planner().host_routes(), 32u);
+}
+
+TEST(RoutePlannerTest, DefaultServiceNeverTakesTheDeviceRoute) {
+  const HostMatrix target = ClusteredPoints(260, 4, 3, 521);
+  const HostMatrix queries = ClusteredPoints(64, 4, 2, 522);
+  serve::ServiceConfig config;
+  config.num_shards = 2;
+  serve::KnnService service(target, config);
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    const std::vector<float> point(queries.row(q),
+                                   queries.row(q) + queries.cols());
+    ASSERT_TRUE(service.Search(point, 4).ok());
+  }
+  ASSERT_TRUE(service.JoinBatch(queries, 4).ok());
+  EXPECT_EQ(service.planner().device_routes(), 0u);
+  EXPECT_GT(service.planner().host_routes(), 0u);
+  EXPECT_EQ(service.stats().total_sim_time_s, 0.0);
+}
+
+/// Prepares one shard over `target` on an in-process shard worker with
+/// the given planner mode, sends each query row as its own single-row
+/// group (the shape of a cluster read), and returns the worker's answers
+/// in order.
+std::vector<core::ShardAnswer> WorkerAnswers(core::PlannerMode mode,
+                                             const HostMatrix& target,
+                                             const HostMatrix& queries,
+                                             int k, const char* tag) {
+  using std::chrono::milliseconds;
+  using std::chrono::steady_clock;
+  const auto deadline = [] {
+    return steady_clock::now() + milliseconds(30000);
+  };
+  const std::string path = ::testing::TempDir() + "/sweetknn_planner_" +
+                           tag + "_" + std::to_string(::getpid()) + ".sock";
+  serve::ShardWorker worker(path);
+  Status served;
+  std::thread server([&] { served = worker.Run(); });
+
+  std::vector<core::ShardAnswer> answers;
+  Result<net::Connection> conn = net::Connection::Connect(path, deadline());
+  EXPECT_TRUE(conn.ok()) << conn.status().ToString();
+  if (conn.ok()) {
+    // Sends one request and returns its reply, failing the test on a
+    // transport error or an unexpected reply type.
+    const auto call = [&](net::MsgType type, const std::string& payload,
+                          net::MsgType want) -> Result<net::Frame> {
+      SK_RETURN_IF_ERROR(net::SendFrame(conn.value(),
+                                        static_cast<uint32_t>(type),
+                                        payload, deadline()));
+      Result<net::Frame> reply = net::RecvFrame(conn.value(), deadline());
+      SK_RETURN_IF_ERROR(reply.status());
+      if (reply.value().type != static_cast<uint32_t>(want)) {
+        return Status::Internal("unexpected reply type " +
+                                std::to_string(reply.value().type));
+      }
+      return reply;
+    };
+
+    net::PrepareColdRequest prepare;
+    prepare.slice = target;
+    prepare.device = gpusim::DeviceSpec::TeslaK20c();
+    prepare.planner.mode = mode;
+    const Result<net::Frame> prepared =
+        call(net::MsgType::kPrepareCold, net::EncodePrepareCold(prepare),
+             net::MsgType::kAck);
+    EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
+    for (size_t q = 0; prepared.ok() && q < queries.rows(); ++q) {
+      net::QueryRequest query;
+      query.k = static_cast<uint32_t>(k);
+      query.queries = HostMatrix(1, queries.cols());
+      std::memcpy(query.queries.mutable_data(), queries.row(q),
+                  queries.cols() * sizeof(float));
+      query.shard_indices = {0};
+      const Result<net::Frame> reply =
+          call(net::MsgType::kQuery, net::EncodeQuery(query),
+               net::MsgType::kQueryReply);
+      net::QueryReply decoded;
+      if (!reply.ok() ||
+          !net::DecodeQueryReply(reply.value().payload, &decoded).ok() ||
+          decoded.answers.size() != 1) {
+        ADD_FAILURE() << "query " << q << ": bad reply";
+        break;
+      }
+      answers.push_back(std::move(decoded.answers[0]));
+    }
+    const Result<net::Frame> bye =
+        call(net::MsgType::kShutdown, "", net::MsgType::kAck);
+    EXPECT_TRUE(bye.ok()) << bye.status().ToString();
+  }
+  server.join();
+  EXPECT_TRUE(served.ok()) << served.ToString();
+  return answers;
+}
+
+TEST(RoutePlannerTest, DefaultShardWorkerNeverTakesTheDeviceRoute) {
+  const HostMatrix target = ClusteredPoints(300, 6, 4, 523);
+  const HostMatrix queries = ClusteredPoints(32, 6, 3, 524);
+  const std::vector<core::ShardAnswer> host = WorkerAnswers(
+      core::PlannerConfig().mode, target, queries, 5, "default");
+  ASSERT_EQ(host.size(), queries.rows());
+  for (size_t q = 0; q < host.size(); ++q) {
+    EXPECT_FALSE(host[q].device_routed) << "group " << q;
+    EXPECT_EQ(host[q].sim_time_s, 0.0) << "group " << q;
+  }
+
+  // A forced device route still reaches the simulated engine, and the
+  // two routes agree bit for bit.
+  const std::vector<core::ShardAnswer> device = WorkerAnswers(
+      core::PlannerMode::kForceDevice, target, queries, 5, "device");
+  ASSERT_EQ(device.size(), queries.rows());
+  for (size_t q = 0; q < device.size(); ++q) {
+    EXPECT_TRUE(device[q].device_routed) << "group " << q;
+    EXPECT_GT(device[q].sim_time_s, 0.0) << "group " << q;
+    ExpectBitIdentical(device[q].result, host[q].result, "worker route");
   }
 }
 

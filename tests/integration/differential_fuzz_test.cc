@@ -168,12 +168,16 @@ void RunConfig(const FuzzConfig& cfg) {
   }
 
   // Serving layer: sharded + micro-batched + concurrent clients must be
-  // bit-identical to the single-engine result above.
+  // bit-identical to the single-engine result above. Pinned to the
+  // device route so the shard engines (and, below, the warm-started
+  // shards' snapshot clustering) run under the fuzzed options; the
+  // default route answers on the host and reads neither.
   serve::ServiceConfig service_config;
   service_config.num_shards = cfg.service_shards;
   service_config.max_batch_size = 16;
   service_config.max_batch_wait = std::chrono::microseconds(300);
   service_config.options = cfg.options;
+  service_config.planner.mode = core::PlannerMode::kForceDevice;
   serve::KnnService service(target, service_config);
 
   constexpr int kClients = 4;
@@ -268,8 +272,11 @@ void RunWarmStartConfig(const FuzzConfig& cfg, const std::string& path) {
   const HostMatrix queries = testing::ClusteredPoints(
       cfg.query_n, cfg.dims, cfg.clusters, SplitMix64(cfg.seed + 1), 0.08f);
 
+  // Pinned to the device route: the warm engine's clustering comes from
+  // the snapshot, and only the TI engine reads it and the options.
   SweetKnn::Config config;
   config.options = cfg.options;
+  config.planner.mode = core::PlannerMode::kForceDevice;
   SweetKnnIndex cold(target, config);
   const Status saved = cold.Save(path, "warm-start-fuzz");
   if (!saved.ok()) {
@@ -398,8 +405,11 @@ void RunApproxConfig(const ApproxFuzzConfig& cfg) {
 
   // Index tier: exact answers of the ANN-enabled index are bit-identical
   // to an ANN-free build; approx answers meet the SLA against the oracle.
+  // Exact traffic is pinned to the device route so the comparison runs
+  // the TI engines the two builds prepared.
   SweetKnn::Config plain_config;
   plain_config.options.metric = cfg.metric;
+  plain_config.planner.mode = core::PlannerMode::kForceDevice;
   SweetKnn::Config ann_config = plain_config;
   ann_config.enable_ann = true;
   SweetKnnIndex plain(target, plain_config);
@@ -436,6 +446,7 @@ void RunApproxConfig(const ApproxFuzzConfig& cfg) {
   service_config.max_batch_size = 16;
   service_config.max_batch_wait = std::chrono::microseconds(300);
   service_config.options.metric = cfg.metric;
+  service_config.planner.mode = core::PlannerMode::kForceDevice;
   service_config.enable_ann = true;
   serve::KnnService service(target, service_config);
   const Result<KnnResult> service_exact = service.JoinBatch(queries, cfg.k);
@@ -610,11 +621,12 @@ std::vector<Neighbor> OracleRangeRow(const float* query,
 
 /// The alternate leg of each config: the opposite forced route at a
 /// different SIMD tier (ForceLevelForTest clamps unavailable tiers to
-/// scalar, which still exercises the dispatch seam).
+/// scalar, which still exercises the dispatch seam). kAuto answers on
+/// the host, so its opposite is the device.
 core::PlannerMode OppositeRoute(core::PlannerMode mode) {
-  return mode == core::PlannerMode::kForceHost
-             ? core::PlannerMode::kForceDevice
-             : core::PlannerMode::kForceHost;
+  return mode == core::PlannerMode::kForceDevice
+             ? core::PlannerMode::kForceHost
+             : core::PlannerMode::kForceDevice;
 }
 
 int AlternateSimdLevel(int level) { return level == 0 ? 2 : 0; }

@@ -137,7 +137,11 @@ std::string RangeSnapshot(const std::string& dataset_name, double size_factor,
   const dataset::Dataset data = dataset::MakePaperDataset(
       dataset::PaperDatasetByName(dataset_name), size_factor);
 
-  SweetKnnIndex index(data.points, SweetKnn::Config());
+  // The pruning counters are the TI scan's; pin its route (the default
+  // answers on the exhaustive host scan, bit-identically).
+  SweetKnn::Config config;
+  config.planner.mode = core::PlannerMode::kForceDevice;
+  SweetKnnIndex index(data.points, config);
   core::RangeScanStats stats;
   const RangeResult result = index.RadiusSearch(data.points, radius, &stats);
   const std::vector<SelfJoinPair> pairs = index.SelfJoin(radius);

@@ -432,6 +432,33 @@ TEST(WireFuzzTest, TenantFieldRoundTrip) {
   EXPECT_EQ(query_out.tenant, "default");
 }
 
+// The planner config on the wire is its mode alone. A forced route must
+// reach the worker intact, and a mode no PlannerMode names is refused.
+TEST(WireFuzzTest, PlannerModeRoundTripAndOutOfRangeRejected) {
+  PrepareColdRequest cold;
+  cold.shard_index = 1;
+  cold.slice = SmallMatrix(2, 3, 7);
+  cold.planner.mode = core::PlannerMode::kForceDevice;
+  PrepareColdRequest cold_out;
+  ASSERT_TRUE(DecodePrepareCold(EncodePrepareCold(cold), &cold_out).ok());
+  EXPECT_EQ(cold_out.planner.mode, core::PlannerMode::kForceDevice);
+
+  PrepareSnapshotRequest snap;
+  snap.shard_index = 0;
+  snap.path = "/tmp/x.sksnap";
+  snap.planner.mode = core::PlannerMode::kForceDevice;
+  PrepareSnapshotRequest snap_out;
+  ASSERT_TRUE(
+      DecodePrepareSnapshot(EncodePrepareSnapshot(snap), &snap_out).ok());
+  EXPECT_EQ(snap_out.planner.mode, core::PlannerMode::kForceDevice);
+
+  cold.planner.mode = static_cast<core::PlannerMode>(3);
+  EXPECT_FALSE(DecodePrepareCold(EncodePrepareCold(cold), &cold_out).ok());
+  snap.planner.mode = static_cast<core::PlannerMode>(3);
+  EXPECT_FALSE(
+      DecodePrepareSnapshot(EncodePrepareSnapshot(snap), &snap_out).ok());
+}
+
 TEST(WireFuzzTest, ListIndexesReplyRoundTripAndAbsurdCountRejected) {
   ListIndexesReply reply;
   reply.names = {"default", "faces"};

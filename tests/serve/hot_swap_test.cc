@@ -57,8 +57,11 @@ TEST(HotSwapTest, WarmStartMatchesColdBitwise) {
   const HostMatrix queries = RandomMatrix(25, 6, 2);
   const std::string dir = TempDir("warm_vs_cold");
 
+  // Pinned to the device route: only the shard engines read the
+  // clustering the warm shards take from their snapshots.
   ServiceConfig config;
   config.num_shards = 3;
+  config.planner.mode = core::PlannerMode::kForceDevice;
   KnnService cold(target, config);
   ASSERT_TRUE(cold.SaveSnapshots(dir).ok());
   EXPECT_EQ(cold.stats().warm_started_shards, 0u);

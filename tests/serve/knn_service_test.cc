@@ -51,6 +51,9 @@ TEST(KnnServiceTest, ConcurrentClientsBitIdenticalToSingleEngine) {
   config.num_shards = 3;
   config.max_batch_size = 16;
   config.max_batch_wait = std::chrono::microseconds(1500);
+  // The stats checks below assert simulated-device time, so pin every
+  // shard onto the device route (host-routed shards report none).
+  config.planner.mode = core::PlannerMode::kForceDevice;
   serve::KnnService service(target, config);
   ASSERT_EQ(service.num_shards(), 3);
 
@@ -166,15 +169,21 @@ TEST(KnnServiceTest, KLargerThanShardSliceAndTargetPads) {
   queries.at(1, 0) = 4.6f;
   queries.at(2, 0) = 9.9f;
 
-  for (int k : {7, 15}) {
-    const KnnResult reference = SingleEngineReference(
-        queries, target, k, core::TiOptions::Sweet());
-    serve::ServiceConfig config;
-    config.num_shards = 4;
-    serve::KnnService service(target, config);
-    const KnnResult answer = service.JoinBatch(queries, k).value();
-    for (size_t q = 0; q < queries.rows(); ++q) {
-      ExpectRowBitIdentical(reference.row(q), answer.row(q), k, q);
+  // Both routes: the shard engines and the host kernels each see slices
+  // smaller than k.
+  for (const core::PlannerMode mode :
+       {core::PlannerMode::kForceDevice, core::PlannerMode::kForceHost}) {
+    for (int k : {7, 15}) {
+      const KnnResult reference = SingleEngineReference(
+          queries, target, k, core::TiOptions::Sweet());
+      serve::ServiceConfig config;
+      config.num_shards = 4;
+      config.planner.mode = mode;
+      serve::KnnService service(target, config);
+      const KnnResult answer = service.JoinBatch(queries, k).value();
+      for (size_t q = 0; q < queries.rows(); ++q) {
+        ExpectRowBitIdentical(reference.row(q), answer.row(q), k, q);
+      }
     }
   }
 }

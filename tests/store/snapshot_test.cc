@@ -195,10 +195,15 @@ TEST(IndexSnapshotTest, SaveLoadSaveIsByteIdentical) {
 TEST(IndexSnapshotTest, WarmLoadedIndexAnswersBitIdentically) {
   const std::string path = TempPath("warm.sksnap");
   const HostMatrix target = RandomMatrix(150, 7, 11);
-  SweetKnnIndex cold(target);
+  // Pinned to the device route: only the TI engine reads the clustering
+  // the warm index takes from the snapshot.
+  SweetKnn::Config config;
+  config.planner.mode = core::PlannerMode::kForceDevice;
+  SweetKnnIndex cold(target, config);
   ASSERT_TRUE(cold.Save(path).ok());
 
-  Result<std::unique_ptr<SweetKnnIndex>> warm = SweetKnnIndex::Load(path);
+  Result<std::unique_ptr<SweetKnnIndex>> warm =
+      SweetKnnIndex::Load(path, config);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   EXPECT_EQ(warm.value()->size(), cold.size());
   EXPECT_EQ(warm.value()->dims(), cold.dims());
@@ -345,7 +350,10 @@ TEST(SnapshotVersionTest, MutatedIndexSavesAsV2AndWarmLoadsExactly) {
   // and answer bit-identically to the still-live mutated index.
   const std::string path = TempPath("mutated_index.sksnap");
   const HostMatrix target = RandomMatrix(90, 5, 31);
-  SweetKnnIndex index(target);
+  // Pinned to the device route, as in WarmLoadedIndexAnswersBitIdentically.
+  SweetKnn::Config config;
+  config.planner.mode = core::PlannerMode::kForceDevice;
+  SweetKnnIndex index(target, config);
   Rng rng(37);
   for (int i = 0; i < 7; ++i) {
     std::vector<float> p(5);
@@ -357,7 +365,8 @@ TEST(SnapshotVersionTest, MutatedIndexSavesAsV2AndWarmLoadsExactly) {
   ASSERT_TRUE(index.Save(path).ok());
   EXPECT_EQ(FileFormatVersion(path), kSnapshotFormatV2);
 
-  Result<std::unique_ptr<SweetKnnIndex>> warm = SweetKnnIndex::Load(path);
+  Result<std::unique_ptr<SweetKnnIndex>> warm =
+      SweetKnnIndex::Load(path, config);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   EXPECT_EQ(warm.value()->size(), index.size());
   EXPECT_EQ(warm.value()->next_id(), index.next_id());
@@ -576,8 +585,12 @@ TEST(ShardDirectoryTest, StandaloneLoadOfOffsetShardKeepsStableIds) {
     }
     const KnnResult want = OracleWithIds(queries, points, ids, k);
 
+    // Pinned to the device route, whose engine runs on the clustering
+    // the shard file carries.
+    SweetKnn::Config device_config;
+    device_config.planner.mode = core::PlannerMode::kForceDevice;
     Result<std::unique_ptr<SweetKnnIndex>> loaded =
-        SweetKnnIndex::Load(ShardSnapshotPath(dir, 1, 2));
+        SweetKnnIndex::Load(ShardSnapshotPath(dir, 1, 2), device_config);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     EXPECT_EQ(loaded.value()->pristine(), !mutated);
     EXPECT_EQ(loaded.value()->LiveIds(), ids);
@@ -586,7 +599,7 @@ TEST(ShardDirectoryTest, StandaloneLoadOfOffsetShardKeepsStableIds) {
     const std::string resaved = TempPath("offset_shard_resaved.sksnap");
     ASSERT_TRUE(loaded.value()->Save(resaved).ok());
     Result<std::unique_ptr<SweetKnnIndex>> reloaded =
-        SweetKnnIndex::Load(resaved);
+        SweetKnnIndex::Load(resaved, device_config);
     ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
     EXPECT_EQ(reloaded.value()->LiveIds(), ids);
     EXPECT_TRUE(SameAnswers(reloaded.value()->Query(queries, k), want));

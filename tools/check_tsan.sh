@@ -10,9 +10,9 @@
 # histograms from many threads; shutdown_storm_test races Submit against
 # Shutdown; swap_staleness_test races cache inserts against SwapIndex;
 # compaction_race_test races mutations, forced compactions, and hot
-# swaps against live clients; route_planner_test flips the hybrid
-# planner's mode and feeds its selectivity EMA from many threads while
-# Choose() races the lock-free route counters; shard_index_test covers
+# swaps against live clients; route_planner_test flips the planner's
+# mode from many threads while Choose() races the lock-free route
+# counters; shard_index_test covers
 # the index as a serving shard (answers, merge, and every state between
 # a compaction's capture and its install) that both serving backends
 # run; router_timeout_test drives the cluster router's channel IO
